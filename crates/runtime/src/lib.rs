@@ -220,13 +220,11 @@ struct PoolShared {
     registry: Mutex<VecDeque<Arc<Batch>>>,
     work_available: Condvar,
     shutdown: AtomicBool,
-    /// Lifetime totals for [`PoolStats`], updated as each batch
+    /// Items executed by completed batches, updated as each batch
     /// completes.
     items_executed: AtomicU64,
-    batches_executed: AtomicU64,
-    total_batch_micros: AtomicU64,
-    max_batch_micros: AtomicU64,
-    /// Wall time of completed batches (submission to completion), µs.
+    /// Wall time of completed batches (submission to completion), µs;
+    /// its count, sum and max are the batch totals of [`PoolStats`].
     batch_wall: Histogram,
     /// Time between a batch's publication and its first helper claim, µs.
     /// Batches fully drained by their caller contribute no sample.
@@ -255,17 +253,6 @@ pub struct PoolStats {
     pub max_batch_micros: u64,
 }
 
-impl PoolStats {
-    /// Mean completed-batch wall time in microseconds (0 with no
-    /// completed batches).
-    #[must_use]
-    pub fn mean_batch_micros(&self) -> u64 {
-        self.total_batch_micros
-            .checked_div(self.batches_executed)
-            .unwrap_or(0)
-    }
-}
-
 /// A pool of persistent worker threads executing dynamically scheduled
 /// item batches. See the crate docs for the execution model.
 pub struct WorkerPool {
@@ -292,9 +279,6 @@ impl WorkerPool {
             work_available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             items_executed: AtomicU64::new(0),
-            batches_executed: AtomicU64::new(0),
-            total_batch_micros: AtomicU64::new(0),
-            max_batch_micros: AtomicU64::new(0),
             batch_wall: Histogram::new(),
             queue_wait: Histogram::new(),
         });
@@ -336,13 +320,14 @@ impl WorkerPool {
             .lock()
             .expect("pool registry poisoned")
             .len();
+        let wall = &self.shared.batch_wall;
         PoolStats {
             workers: self.threads,
             queued_batches,
             items_executed: self.shared.items_executed.load(Ordering::Relaxed),
-            batches_executed: self.shared.batches_executed.load(Ordering::Relaxed),
-            total_batch_micros: self.shared.total_batch_micros.load(Ordering::Relaxed),
-            max_batch_micros: self.shared.max_batch_micros.load(Ordering::Relaxed),
+            batches_executed: wall.count(),
+            total_batch_micros: wall.sum(),
+            max_batch_micros: wall.max(),
         }
     }
 
@@ -439,18 +424,10 @@ impl WorkerPool {
 
         // Flush this batch into the pool-wide observability totals
         // (panicking batches count too: their wall time was spent).
-        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.shared
             .items_executed
             .fetch_add(batch.items.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.shared.batches_executed.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .total_batch_micros
-            .fetch_add(micros, Ordering::Relaxed);
-        self.shared
-            .max_batch_micros
-            .fetch_max(micros, Ordering::Relaxed);
-        self.shared.batch_wall.record(micros);
+        self.shared.batch_wall.record_duration(started.elapsed());
 
         let panic = batch
             .state
@@ -767,8 +744,7 @@ mod tests {
         assert_eq!(stats.batches_executed, 2);
         assert!(stats.total_batch_micros > 0, "the sleepy batch took time");
         assert!(stats.max_batch_micros <= stats.total_batch_micros);
-        assert!(stats.mean_batch_micros() <= stats.max_batch_micros);
-        assert_eq!(PoolStats::default().mean_batch_micros(), 0);
+        assert!(stats.total_batch_micros <= 2 * stats.max_batch_micros);
     }
 
     #[test]

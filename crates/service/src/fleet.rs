@@ -25,12 +25,11 @@
 //!   the standard fleet) — keeping responses deterministic byte-for-byte.
 
 use crate::api::{unknown_device_error, ApiError};
-use crate::json::Json;
 use an5d::{
-    stencil_fingerprint, suite, BatchDriver, CacheStats, DeviceId, DeviceRegistry,
-    ExecutionBackend, FrameworkScheme, GpuDevice, PlanCache, ShardedPlanCache, StencilProblem,
-    TuneDb, WarmRequest,
+    stencil_fingerprint, suite, BatchDriver, DeviceId, DeviceRegistry, ExecutionBackend,
+    FrameworkScheme, GpuDevice, PlanCache, ShardedPlanCache, StencilProblem, TuneDb, WarmRequest,
 };
+use an5d_obs::{Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,7 +46,8 @@ pub enum RoutePolicy {
     DefaultDevice,
 }
 
-/// Point-in-time load/latency snapshot of one shard.
+/// Point-in-time load snapshot of one shard; its latency distribution
+/// is [`FleetShard::latency`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Requests dispatched to this shard (including failed ones).
@@ -56,18 +56,6 @@ pub struct ShardStats {
     pub errors: u64,
     /// Requests currently executing on this shard.
     pub in_flight: u64,
-    /// Total handler latency in microseconds.
-    pub total_micros: u64,
-    /// Worst handler latency in microseconds.
-    pub max_micros: u64,
-}
-
-impl ShardStats {
-    /// Mean handler latency in microseconds (0 with no requests).
-    #[must_use]
-    pub fn mean_micros(&self) -> u64 {
-        self.total_micros.checked_div(self.requests).unwrap_or(0)
-    }
 }
 
 /// Point-in-time tune-DB counters of one shard.
@@ -101,10 +89,10 @@ pub struct FleetShard {
     cache: Arc<PlanCache>,
     driver: BatchDriver,
     in_flight: AtomicU64,
-    requests: AtomicU64,
     errors: AtomicU64,
-    total_micros: AtomicU64,
-    max_micros: AtomicU64,
+    /// Handler latency of every observed request, microseconds; its
+    /// count is the shard's request total.
+    latency: Histogram,
     db_hits: AtomicU64,
     db_misses: AtomicU64,
     db_refreshes: AtomicU64,
@@ -171,26 +159,27 @@ impl FleetShard {
         let _guard = InFlightGuard(&self.in_flight);
         let started = Instant::now();
         let result = f();
-        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.requests.fetch_add(1, Ordering::Relaxed);
         if result.is_err() {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
-        self.total_micros.fetch_add(micros, Ordering::Relaxed);
-        self.max_micros.fetch_max(micros, Ordering::Relaxed);
+        self.latency.record_duration(started.elapsed());
         result
     }
 
-    /// Current load/latency counters.
+    /// Current load counters.
     #[must_use]
     pub fn stats(&self) -> ShardStats {
         ShardStats {
-            requests: self.requests.load(Ordering::Relaxed),
+            requests: self.latency.count(),
             errors: self.errors.load(Ordering::Relaxed),
             in_flight: self.in_flight.load(Ordering::SeqCst),
-            total_micros: self.total_micros.load(Ordering::Relaxed),
-            max_micros: self.max_micros.load(Ordering::Relaxed),
         }
+    }
+
+    /// Snapshot of the shard's handler-latency histogram.
+    #[must_use]
+    pub fn latency(&self) -> HistogramSnapshot {
+        self.latency.snapshot()
     }
 
     /// Current tune-DB counters.
@@ -276,10 +265,8 @@ impl Fleet {
                         cache: shard_cache,
                         driver,
                         in_flight: AtomicU64::new(0),
-                        requests: AtomicU64::new(0),
                         errors: AtomicU64::new(0),
-                        total_micros: AtomicU64::new(0),
-                        max_micros: AtomicU64::new(0),
+                        latency: Histogram::new(),
                         db_hits: AtomicU64::new(0),
                         db_misses: AtomicU64::new(0),
                         db_refreshes: AtomicU64::new(0),
@@ -462,67 +449,6 @@ impl Fleet {
             .min_by_key(|shard| shard.in_flight.load(Ordering::SeqCst))
             .expect("a fleet has at least one shard")
     }
-
-    /// Fleet-wide plan-cache totals (what the legacy top-level `"cache"`
-    /// object of `/stats` reports).
-    #[must_use]
-    pub fn aggregate_cache_stats(&self) -> CacheStats {
-        self.cache.aggregate_stats()
-    }
-
-    /// The `"devices"` object of `/stats`: per-device cache stats plus
-    /// shard load/latency, in id order.
-    #[must_use]
-    pub fn stats_json(&self) -> Json {
-        Json::Obj(
-            self.shards
-                .iter()
-                .map(|(id, shard)| {
-                    let stats = shard.stats();
-                    (
-                        id.to_string(),
-                        Json::obj(vec![
-                            ("profile", Json::str(&shard.device.name)),
-                            ("backend", Json::Str(shard.backend().describe())),
-                            ("cache", crate::api::cache_stats_json(&shard.cache.stats())),
-                            (
-                                "tunedb",
-                                crate::api::shard_tunedb_json(&shard.tunedb_stats()),
-                            ),
-                            ("requests", Json::Int(i128::from(stats.requests))),
-                            ("errors", Json::Int(i128::from(stats.errors))),
-                            ("in_flight", Json::Int(i128::from(stats.in_flight))),
-                            ("mean_us", Json::Int(i128::from(stats.mean_micros()))),
-                            ("max_us", Json::Int(i128::from(stats.max_micros))),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
-    }
-
-    /// The top-level `"tunedb"` object of `/stats`: whether persistence
-    /// is on, and the database-wide record/log counters.
-    #[must_use]
-    pub fn tunedb_json(&self) -> Json {
-        match &self.tune_db {
-            None => Json::obj(vec![("enabled", Json::Bool(false))]),
-            Some(db) => {
-                let stats = db.stats();
-                Json::obj(vec![
-                    ("enabled", Json::Bool(true)),
-                    ("path", Json::Str(db.path().display().to_string())),
-                    ("records", Json::Int(stats.live as i128)),
-                    ("stale", Json::Int(stats.stale as i128)),
-                    ("appends", Json::Int(i128::from(stats.appends))),
-                    ("compactions", Json::Int(i128::from(stats.compactions))),
-                    ("recovered", Json::Int(stats.recovered as i128)),
-                    ("skipped_corrupt", Json::Int(stats.skipped_corrupt as i128)),
-                    ("truncated_bytes", Json::Int(stats.truncated_bytes as i128)),
-                ])
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -597,7 +523,9 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.errors, 1);
         assert_eq!(stats.in_flight, 0);
-        assert!(stats.max_micros >= stats.mean_micros());
+        let latency = shard.latency();
+        assert_eq!(latency.count(), 2, "one latency sample per request");
+        assert!(latency.max() >= latency.mean());
     }
 
     #[test]
@@ -668,9 +596,7 @@ mod tests {
             }
         }
         assert!(fleet.tune_db().is_some());
-        let rendered = fleet.tunedb_json().render();
-        assert!(rendered.contains("\"enabled\":true"), "{rendered}");
-        assert!(rendered.contains("\"records\":2"), "{rendered}");
+        assert_eq!(db.stats().live, 2);
 
         let _ = std::fs::remove_file(&path);
     }
@@ -679,7 +605,6 @@ mod tests {
     fn a_fleet_without_a_db_reports_persistence_disabled() {
         let fleet = fleet();
         assert!(fleet.tune_db().is_none());
-        assert_eq!(fleet.tunedb_json().render(), r#"{"enabled":false}"#);
         let shard = fleet.shard(&DeviceId::new("v100")).unwrap();
         assert_eq!(shard.tunedb_stats(), ShardTuneDbStats::default());
     }
@@ -702,8 +627,11 @@ mod tests {
         // The override rebuilt the driver over the same cache shard.
         let shard = fleet.shard(&p100).unwrap();
         assert!(Arc::ptr_eq(shard.cache(), shard.driver().cache()));
-        let rendered = fleet.stats_json().render();
-        assert!(rendered.contains("vector (2 pool executors"), "{rendered}");
+        let described = shard.backend().describe();
+        assert!(
+            described.contains("vector (2 pool executors"),
+            "{described}"
+        );
     }
 
     #[test]

@@ -33,20 +33,21 @@ pub const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_secs(1);
 /// Default payload size of one streamed chunk (before chunked framing).
 pub const DEFAULT_STREAM_CHUNK: usize = 16 * 1024;
 
-/// The endpoints served, with the method each accepts.
+/// The endpoints served, with the method each accepts, sorted by path:
+/// the order `/stats` and `/metrics` list endpoints in.
 pub const ENDPOINTS: &[(&str, &str)] = &[
+    ("POST", "/batch"),
+    ("POST", "/codegen"),
     ("GET", "/devices"),
+    ("POST", "/execute"),
     ("GET", "/metrics"),
-    ("GET", "/stats"),
-    ("GET", "/trace"),
     ("POST", "/parse"),
     ("POST", "/plan"),
     ("POST", "/predict"),
-    ("POST", "/tune"),
-    ("POST", "/codegen"),
-    ("POST", "/execute"),
-    ("POST", "/batch"),
     ("POST", "/shutdown"),
+    ("GET", "/stats"),
+    ("GET", "/trace"),
+    ("POST", "/tune"),
 ];
 
 /// Shared, thread-safe service state: one per server, referenced by every
@@ -270,8 +271,8 @@ pub fn dispatch(state: &ServiceState, request: &Request) -> Response {
 
 fn handle(state: &ServiceState, path: &str, request: &Request) -> Response {
     match path {
-        "/stats" => stats(state),
-        "/metrics" => Response::text(200, telemetry::render_prometheus(state)),
+        "/stats" => ok(telemetry::collect(state).render_stats(state)),
+        "/metrics" => Response::text(200, telemetry::collect(state).render_prometheus()),
         "/trace" => trace_endpoint(state, request),
         "/devices" => ok(api::devices_response(state.fleet.registry())),
         "/shutdown" => ok(Json::obj(vec![("ok", Json::Bool(true))])),
@@ -334,28 +335,6 @@ fn trace_endpoint(state: &ServiceState, request: &Request) -> Response {
             }
         }
     }
-}
-
-fn stats(state: &ServiceState) -> Response {
-    ok(Json::obj(vec![
-        ("backend", Json::Str(state.backend.describe())),
-        // Fleet-wide totals, kept at the top level for compatibility
-        // with pre-fleet consumers; per-device breakdowns live under
-        // "devices".
-        (
-            "cache",
-            api::cache_stats_json(&state.fleet.aggregate_cache_stats()),
-        ),
-        ("devices", state.fleet.stats_json()),
-        // backend.execute latency per backend name (fed by the metered
-        // backend wrappers around every shard's backend).
-        ("backends", state.metrics.backends_json()),
-        ("tunedb", state.fleet.tunedb_json()),
-        ("pool", api::pool_stats_json(&an5d::global_pool().stats())),
-        ("endpoints", state.metrics.endpoints_json()),
-        ("connections", state.metrics.connections_json()),
-        ("rejected", Json::Int(i128::from(state.metrics.rejected()))),
-    ]))
 }
 
 fn parse_endpoint(body: &Json) -> Result<Json, ApiError> {
@@ -657,7 +636,7 @@ mod tests {
         let body = r#"{"benchmark":"j2d5pt","interior":[64,64],"steps":8,
                        "config":{"bt":2,"bs":[32],"precision":"double"}}"#;
         assert_eq!(post(&state, "/plan", body).status, 200);
-        let misses = state.fleet().aggregate_cache_stats().misses;
+        let misses = state.fleet().cache().aggregate_stats().misses;
         assert_eq!(misses, 1);
         // Same key through a different endpoint: both requests are
         // device-agnostic, so the idle-fleet router sends them to the
@@ -665,7 +644,7 @@ mod tests {
         let response = post(&state, "/codegen", body);
         assert_eq!(response.status, 200);
         assert!(response.body.contains("__global__"));
-        let stats = state.fleet().aggregate_cache_stats();
+        let stats = state.fleet().cache().aggregate_stats();
         assert_eq!(stats.misses, misses);
         assert!(stats.hits >= 1);
     }

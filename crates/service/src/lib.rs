@@ -34,10 +34,16 @@
 //! | `/execute` | POST | blocked run: checksum + traffic counters (`?stream=1` chunked) |
 //! | `/batch` | POST | job list through the shard's `BatchDriver`; streams NDJSON, one line per job as it finishes (`?stream=0` buffers) |
 //! | `/devices` | GET | registered GPU profiles + routing default |
-//! | `/stats` | GET | fleet-wide + per-device cache stats, pool and endpoint latencies |
-//! | `/metrics` | GET | Prometheus text: latency histograms, cache/fleet/pool/tunedb series |
+//! | `/stats` | GET | every metric series as JSON: endpoint latencies, fleet + per-device cache stats, pool, tunedb |
+//! | `/metrics` | GET | the same series as Prometheus text |
 //! | `/trace` | GET | recently completed request traces; `?id=` for one span tree |
 //! | `/shutdown` | POST | graceful shutdown (drains the queue) |
+//!
+//! `/stats` and `/metrics` render one metric registry: every series is
+//! declared once in [`telemetry::FAMILIES`], so each endpoint carries
+//! every series (`/stats` thereby gained `"streams"`, `"deadline_shed"`,
+//! `"deadline_expired"`, `"traces"`, `"tunedb"."append_failures"` and
+//! the percentile fields of every histogram).
 //!
 //! Every pipeline response carries an `x-an5d-trace` header whose id can
 //! be fed back to `GET /trace?id=` to inspect the per-stage span tree

@@ -1,19 +1,22 @@
-//! Per-endpoint latency and outcome metrics for `/stats` and `/metrics`.
+//! Recorders behind the service's metric families: per-endpoint latency
+//! and outcomes, streaming, per-backend `backend.execute` latency, the
+//! robustness counters and the connection-layer gauges. Which series the
+//! service exports from them is declared once, in [`crate::telemetry`].
 //!
-//! Each endpoint owns an [`an5d_obs::Histogram`] plus atomic counters, so
-//! recording touches the registry mutex only to look the endpoint up —
-//! the hot path is wait-free atomics. Every lock recovers from poisoning
-//! with [`PoisonError::into_inner`]: a panicking handler thread must not
-//! take `/stats` or `/metrics` down with it (the map is only ever
-//! *inserted into* under the lock, so a poisoned guard still holds a
-//! structurally valid map).
+//! Recording never locks or allocates on the request path: endpoint and
+//! stream recorders sit in fixed slots indexed by the endpoint's position
+//! in [`ENDPOINTS`], each created on first use. Only the per-backend
+//! recorders live in a map, because backend names are open-ended; that
+//! map is only ever *inserted into*, so a poisoned lock still guards a
+//! structurally valid map and is recovered with
+//! [`PoisonError::into_inner`].
 
-use crate::json::Json;
+use crate::handlers::ENDPOINTS;
 use an5d::{BlockedRun, ExecutionBackend, Grid, KernelPlan, StencilProblem};
 use an5d_obs::{Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Aggregated statistics for one endpoint.
@@ -37,33 +40,21 @@ impl EndpointStats {
     }
 }
 
-/// One endpoint's recorder: exact counters plus a latency histogram.
+/// One endpoint's recorder: an error counter beside the latency
+/// histogram, whose count, sum and max are the request totals.
 #[derive(Debug, Default)]
-struct EndpointRecorder {
-    count: AtomicU64,
-    errors: AtomicU64,
-    total_micros: AtomicU64,
-    max_micros: AtomicU64,
-    latency: Histogram,
+pub(crate) struct EndpointRecorder {
+    pub(crate) errors: AtomicU64,
+    pub(crate) latency: Histogram,
 }
 
 impl EndpointRecorder {
-    fn record(&self, micros: u64, ok: bool) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        self.total_micros.fetch_add(micros, Ordering::Relaxed);
-        self.max_micros.fetch_max(micros, Ordering::Relaxed);
-        self.latency.record(micros);
-    }
-
     fn stats(&self) -> EndpointStats {
         EndpointStats {
-            count: self.count.load(Ordering::Relaxed),
+            count: self.latency.count(),
             errors: self.errors.load(Ordering::Relaxed),
-            total_micros: self.total_micros.load(Ordering::Relaxed),
-            max_micros: self.max_micros.load(Ordering::Relaxed),
+            total_micros: self.latency.sum(),
+            max_micros: self.latency.max(),
         }
     }
 }
@@ -84,11 +75,11 @@ pub struct StreamSnapshot {
 /// One endpoint's streaming recorder: chunk/byte counters plus a
 /// time-to-first-byte histogram.
 #[derive(Debug, Default)]
-struct StreamRecorder {
-    streams: AtomicU64,
-    chunks: AtomicU64,
-    bytes: AtomicU64,
-    ttfb: Histogram,
+pub(crate) struct StreamRecorder {
+    pub(crate) streams: AtomicU64,
+    pub(crate) chunks: AtomicU64,
+    pub(crate) bytes: AtomicU64,
+    pub(crate) ttfb: Histogram,
 }
 
 /// A point-in-time copy of the connection-layer gauges and counters.
@@ -184,19 +175,36 @@ impl ConnectionStats {
     }
 }
 
+/// One recorder slot per entry of [`ENDPOINTS`], filled on first use.
+type Slots<T> = [OnceLock<T>; ENDPOINTS.len()];
+
+/// Position of `path` in [`ENDPOINTS`].
+fn slot(path: &str) -> Option<usize> {
+    ENDPOINTS.iter().position(|&(_, known)| known == path)
+}
+
+/// The filled slots with their paths, in [`ENDPOINTS`] order.
+fn filled<T>(slots: &Slots<T>) -> impl Iterator<Item = (&'static str, &T)> {
+    ENDPOINTS
+        .iter()
+        .zip(slots)
+        .filter_map(|(&(_, path), slot)| Some((path, slot.get()?)))
+}
+
 /// Thread-safe metrics registry shared by every connection worker.
 ///
-/// Endpoints are keyed by path; the map is a `BTreeMap` so `/stats` and
-/// `/metrics` render endpoints in a stable (sorted) order.
+/// Endpoints are the paths of [`ENDPOINTS`] and render in that order;
+/// recording a path outside it is a no-op (dispatch answers such paths
+/// 404 before anything is recorded).
 #[derive(Debug, Default)]
 pub struct Metrics {
-    endpoints: Mutex<BTreeMap<String, Arc<EndpointRecorder>>>,
+    endpoints: Slots<EndpointRecorder>,
     /// Streaming counters per endpoint (`?stream=1` and `/batch`).
-    streams: Mutex<BTreeMap<String, Arc<StreamRecorder>>>,
+    streams: Slots<StreamRecorder>,
     /// `backend.execute` latency per backend name, fed by
     /// [`MeteredBackend`] wrappers around every backend the service
     /// executes on.
-    backends: Mutex<BTreeMap<String, Arc<EndpointRecorder>>>,
+    backends: Mutex<BTreeMap<&'static str, Arc<Histogram>>>,
     /// Requests turned away by admission control with a 503.
     rejected: AtomicU64,
     /// Requests shed with a 503 because their deadline was already
@@ -219,53 +227,50 @@ impl Metrics {
         Self::default()
     }
 
-    fn recorder(&self, endpoint: &str) -> Arc<EndpointRecorder> {
-        let mut endpoints = self
-            .endpoints
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(endpoints.entry(endpoint.to_string()).or_default())
-    }
-
     /// Record one handled request for an endpoint.
     pub fn record(&self, endpoint: &str, latency: Duration, ok: bool) {
-        let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        self.recorder(endpoint).record(micros, ok);
+        let Some(index) = slot(endpoint) else {
+            return;
+        };
+        let recorder = self.endpoints[index].get_or_init(EndpointRecorder::default);
+        if !ok {
+            recorder.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        recorder.latency.record_duration(latency);
     }
 
-    fn stream_recorder(&self, endpoint: &str) -> Arc<StreamRecorder> {
-        let mut streams = self.streams.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(streams.entry(endpoint.to_string()).or_default())
+    fn stream_recorder(&self, endpoint: &str) -> Option<&StreamRecorder> {
+        Some(self.streams[slot(endpoint)?].get_or_init(StreamRecorder::default))
     }
 
     /// Record a streamed response's time-to-first-byte (handler start
     /// to first chunk produced); also counts the stream itself.
     pub fn record_stream_ttfb(&self, endpoint: &str, latency: Duration) {
-        let recorder = self.stream_recorder(endpoint);
-        recorder.streams.fetch_add(1, Ordering::Relaxed);
-        recorder.ttfb.record_duration(latency);
+        if let Some(recorder) = self.stream_recorder(endpoint) {
+            recorder.streams.fetch_add(1, Ordering::Relaxed);
+            recorder.ttfb.record_duration(latency);
+        }
     }
 
     /// Record one produced chunk of `bytes` payload bytes on a
     /// streamed response.
     pub fn record_stream_chunk(&self, endpoint: &str, bytes: usize) {
-        let recorder = self.stream_recorder(endpoint);
-        recorder.chunks.fetch_add(1, Ordering::Relaxed);
-        recorder
-            .bytes
-            .fetch_add(u64::try_from(bytes).unwrap_or(u64::MAX), Ordering::Relaxed);
+        if let Some(recorder) = self.stream_recorder(endpoint) {
+            recorder.chunks.fetch_add(1, Ordering::Relaxed);
+            recorder
+                .bytes
+                .fetch_add(u64::try_from(bytes).unwrap_or(u64::MAX), Ordering::Relaxed);
+        }
     }
 
-    /// Per-endpoint streaming snapshots, sorted by path — the data
-    /// source for the `an5d_stream_*` series of `/metrics`.
+    /// Per-endpoint streaming snapshots of every endpoint that has
+    /// streamed, in [`ENDPOINTS`] order.
     #[must_use]
     pub fn stream_snapshots(&self) -> Vec<(String, StreamSnapshot)> {
-        let streams = self.streams.lock().unwrap_or_else(PoisonError::into_inner);
-        streams
-            .iter()
+        self.stream_recorders()
             .map(|(path, recorder)| {
                 (
-                    path.clone(),
+                    path.to_string(),
                     StreamSnapshot {
                         streams: recorder.streams.load(Ordering::Relaxed),
                         chunks: recorder.chunks.load(Ordering::Relaxed),
@@ -277,49 +282,35 @@ impl Metrics {
             .collect()
     }
 
-    /// Record one `backend.execute` call on the named backend.
-    pub fn record_backend_execute(&self, backend: &str, latency: Duration) {
-        let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        let recorder = {
-            let mut backends = self.backends.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(backends.entry(backend.to_string()).or_default())
-        };
-        recorder.record(micros, true);
+    /// Recorders of every endpoint that has streamed.
+    pub(crate) fn stream_recorders(&self) -> impl Iterator<Item = (&'static str, &StreamRecorder)> {
+        filled(&self.streams)
     }
 
-    /// Per-backend `(name, stats, latency histogram)` snapshots of
-    /// `backend.execute`, sorted by backend name.
-    #[must_use]
-    pub fn backend_snapshots(&self) -> Vec<(String, EndpointStats, HistogramSnapshot)> {
+    /// Recorders of every endpoint that has been hit.
+    pub(crate) fn endpoint_recorders(
+        &self,
+    ) -> impl Iterator<Item = (&'static str, &EndpointRecorder)> {
+        filled(&self.endpoints)
+    }
+
+    /// Record one `backend.execute` call on the named backend.
+    pub fn record_backend_execute(&self, backend: &'static str, latency: Duration) {
+        let histogram = {
+            let mut backends = self.backends.lock().unwrap_or_else(PoisonError::into_inner);
+            Arc::clone(backends.entry(backend).or_default())
+        };
+        histogram.record_duration(latency);
+    }
+
+    /// `backend.execute` latency histograms per backend name, sorted by
+    /// name.
+    pub(crate) fn backend_histograms(&self) -> Vec<(&'static str, Arc<Histogram>)> {
         let backends = self.backends.lock().unwrap_or_else(PoisonError::into_inner);
         backends
             .iter()
-            .map(|(name, recorder)| (name.clone(), recorder.stats(), recorder.latency.snapshot()))
+            .map(|(&name, histogram)| (name, Arc::clone(histogram)))
             .collect()
-    }
-
-    /// Render the `"backends"` object of `/stats`: `backend.execute`
-    /// latency per backend name.
-    #[must_use]
-    pub fn backends_json(&self) -> Json {
-        Json::Obj(
-            self.backend_snapshots()
-                .into_iter()
-                .map(|(name, stats, histogram)| {
-                    (
-                        name,
-                        Json::obj(vec![
-                            ("executes", Json::Int(i128::from(stats.count))),
-                            ("mean_us", Json::Int(i128::from(stats.mean_micros()))),
-                            ("max_us", Json::Int(i128::from(stats.max_micros))),
-                            ("p50_us", Json::Int(i128::from(histogram.quantile(0.5)))),
-                            ("p95_us", Json::Int(i128::from(histogram.quantile(0.95)))),
-                            ("p99_us", Json::Int(i128::from(histogram.quantile(0.99)))),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
     }
 
     /// Record one connection rejected by admission control.
@@ -374,78 +365,21 @@ impl Metrics {
         &self.connections
     }
 
-    /// Render the `"connections"` object of `/stats`.
-    #[must_use]
-    pub fn connections_json(&self) -> Json {
-        let snap = self.connections.snapshot();
-        Json::obj(vec![
-            ("open", Json::Int(i128::from(snap.open))),
-            ("parked", Json::Int(i128::from(snap.parked))),
-            ("active", Json::Int(i128::from(snap.active()))),
-            ("accepted", Json::Int(i128::from(snap.accepted))),
-            ("closed", Json::Int(i128::from(snap.closed))),
-            ("aborted", Json::Int(i128::from(snap.aborted))),
-        ])
-    }
-
     /// Snapshot of one endpoint's stats (zeroes when never hit).
     #[must_use]
     pub fn endpoint(&self, endpoint: &str) -> EndpointStats {
-        self.endpoints
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(endpoint)
-            .map(|recorder| recorder.stats())
+        slot(endpoint)
+            .and_then(|index| self.endpoints[index].get())
+            .map(EndpointRecorder::stats)
             .unwrap_or_default()
     }
 
     /// Latency histogram snapshot of one endpoint (`None` when never hit).
     #[must_use]
     pub fn histogram(&self, endpoint: &str) -> Option<HistogramSnapshot> {
-        self.endpoints
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(endpoint)
+        slot(endpoint)
+            .and_then(|index| self.endpoints[index].get())
             .map(|recorder| recorder.latency.snapshot())
-    }
-
-    /// Per-endpoint `(path, stats, latency histogram)` snapshots, sorted
-    /// by path — the data source for `/metrics`.
-    #[must_use]
-    pub fn snapshots(&self) -> Vec<(String, EndpointStats, HistogramSnapshot)> {
-        let endpoints = self
-            .endpoints
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        endpoints
-            .iter()
-            .map(|(path, recorder)| (path.clone(), recorder.stats(), recorder.latency.snapshot()))
-            .collect()
-    }
-
-    /// Render the `"endpoints"` object of `/stats`.
-    #[must_use]
-    pub fn endpoints_json(&self) -> Json {
-        Json::Obj(
-            self.snapshots()
-                .into_iter()
-                .map(|(path, stats, histogram)| {
-                    (
-                        path,
-                        Json::obj(vec![
-                            ("count", Json::Int(i128::from(stats.count))),
-                            ("errors", Json::Int(i128::from(stats.errors))),
-                            ("mean_us", Json::Int(i128::from(stats.mean_micros()))),
-                            ("max_us", Json::Int(i128::from(stats.max_micros))),
-                            ("p50_us", Json::Int(i128::from(histogram.quantile(0.5)))),
-                            ("p95_us", Json::Int(i128::from(histogram.quantile(0.95)))),
-                            ("p99_us", Json::Int(i128::from(histogram.quantile(0.99)))),
-                            ("p999_us", Json::Int(i128::from(histogram.quantile(0.999)))),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
     }
 }
 
@@ -531,14 +465,16 @@ mod tests {
         assert_eq!(tune.max_micros, 300);
         assert_eq!(metrics.endpoint("/nope"), EndpointStats::default());
 
+        metrics.record("/nope", Duration::from_micros(1), true);
+        assert_eq!(metrics.endpoint("/nope"), EndpointStats::default());
+
         metrics.record_rejected();
         assert_eq!(metrics.rejected(), 1);
 
-        let rendered = metrics.endpoints_json().render();
-        // Sorted by path: /stats before /tune.
-        let stats_at = rendered.find("/stats").unwrap();
-        let tune_at = rendered.find("/tune").unwrap();
-        assert!(stats_at < tune_at, "{rendered}");
+        // Recorded endpoints iterate in ENDPOINTS order, sorted by path.
+        let paths: Vec<&str> = metrics.endpoint_recorders().map(|(path, _)| path).collect();
+        assert_eq!(paths, ["/stats", "/tune"]);
+        assert!(ENDPOINTS.windows(2).all(|pair| pair[0].1 < pair[1].1));
     }
 
     #[test]
@@ -555,9 +491,7 @@ mod tests {
         assert!((500..=520).contains(&p50), "p50 {p50}");
         assert!((990..=1_000).contains(&p99), "p99 {p99}");
         assert!(metrics.histogram("/nope").is_none());
-        let rendered = metrics.endpoints_json().render();
-        assert!(rendered.contains("\"p50_us\""), "{rendered}");
-        assert!(rendered.contains("\"p999_us\""), "{rendered}");
+        assert!(metrics.histogram("/tune").is_none(), "never hit");
     }
 
     #[test]
@@ -587,10 +521,6 @@ mod tests {
 
         conns.record_loop(Duration::from_micros(120));
         assert_eq!(conns.loop_snapshot().count(), 1);
-
-        let rendered = metrics.connections_json().render();
-        assert!(rendered.contains("\"aborted\":1"), "{rendered}");
-        assert!(rendered.contains("\"parked\":1"), "{rendered}");
     }
 
     #[test]
@@ -613,37 +543,9 @@ mod tests {
         let report = an5d.verify(&problem, &config).unwrap();
         assert!(report.matches_reference, "metering must not change results");
 
-        let snapshots = metrics.backend_snapshots();
-        assert_eq!(snapshots.len(), 1);
-        assert_eq!(snapshots[0].0, "serial");
-        assert_eq!(snapshots[0].1.count, 1, "one execute, one sample");
-        let rendered = metrics.backends_json().render();
-        assert!(rendered.contains("\"serial\""), "{rendered}");
-        assert!(rendered.contains("\"executes\":1"), "{rendered}");
-    }
-
-    #[test]
-    fn poisoned_registry_keeps_serving() {
-        // Regression: a handler thread panicking while holding the
-        // registry lock used to poison it and 500 every later /stats.
-        let metrics = Arc::new(Metrics::new());
-        metrics.record("/plan", Duration::from_micros(70), true);
-        let poisoner = Arc::clone(&metrics);
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.endpoints.lock().unwrap();
-            panic!("poison the registry lock");
-        })
-        .join();
-        assert!(metrics.endpoints.lock().is_err(), "lock must be poisoned");
-
-        // Every read and write path still works.
-        metrics.record("/plan", Duration::from_micros(30), false);
-        let plan = metrics.endpoint("/plan");
-        assert_eq!(plan.count, 2);
-        assert_eq!(plan.errors, 1);
-        assert_eq!(plan.max_micros, 70);
-        assert_eq!(metrics.histogram("/plan").unwrap().count(), 2);
-        let rendered = metrics.endpoints_json().render();
-        assert!(rendered.contains("/plan"), "{rendered}");
+        let histograms = metrics.backend_histograms();
+        assert_eq!(histograms.len(), 1);
+        assert_eq!(histograms[0].0, "serial");
+        assert_eq!(histograms[0].1.count(), 1, "one execute, one sample");
     }
 }

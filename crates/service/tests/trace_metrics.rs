@@ -290,3 +290,252 @@ fn server_histogram_percentiles_match_dispatched_latencies() {
         "handler time must fit inside dispatch wall time"
     );
 }
+
+/// One `/metrics` sample line split into its name, label pairs and value.
+fn parse_sample(line: &str) -> (String, Vec<(String, String)>, f64) {
+    let (key, value) = line
+        .rsplit_once(' ')
+        .unwrap_or_else(|| panic!("sample without a value: {line:?}"));
+    let (name, labels) = match key.split_once('{') {
+        Some((name, rest)) => (
+            name,
+            rest.strip_suffix('}')
+                .unwrap_or_else(|| panic!("unclosed label set: {line:?}")),
+        ),
+        None => (key, ""),
+    };
+    let labels = labels
+        .split(',')
+        .filter(|pair| !pair.is_empty())
+        .map(|pair| {
+            let (key, value) = pair
+                .split_once('=')
+                .unwrap_or_else(|| panic!("malformed label {pair:?} in {line:?}"));
+            let value = value
+                .strip_prefix('"')
+                .and_then(|v| v.strip_suffix('"'))
+                .unwrap_or_else(|| panic!("unquoted label value in {line:?}"));
+            (key.to_string(), value.to_string())
+        })
+        .collect();
+    let value = value
+        .parse()
+        .unwrap_or_else(|_| panic!("non-numeric sample value in {line:?}"));
+    (name.to_string(), labels, value)
+}
+
+#[test]
+fn metrics_exposition_groups_every_sample_under_its_declared_family() {
+    let server = start_server(None);
+    let addr = server.addr();
+    let plan = r#"{"benchmark":"star2d1r","interior":[64,64],"steps":8,
+                   "config":{"bt":2,"bs":[32],"precision":"double"}}"#;
+    let execute = r#"{"benchmark":"j2d5pt","interior":[24,24],"steps":5,
+                      "config":{"bt":2,"bs":[12],"precision":"double"}}"#;
+    for (path, body) in [
+        ("/plan", plan),
+        ("/predict", plan),
+        ("/codegen?stream=1", plan),
+        ("/execute", execute),
+        ("/plan", "{}"),
+    ] {
+        client::post(addr, path, body).unwrap();
+    }
+    let (status, text) = client::get(addr, "/metrics").unwrap();
+    assert_eq!(status, 200);
+
+    // The text format: every sample belongs to the family of the most
+    // recent `# TYPE` line (a histogram family also owns its
+    // `_bucket`/`_sum`/`_count` series), and no family is declared
+    // twice — so each family's lines form one contiguous group.
+    let mut declared = std::collections::BTreeSet::new();
+    let mut help: Option<String> = None;
+    let mut current: Option<(String, String)> = None;
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            help = rest.split_once(' ').map(|(name, _)| name.to_string());
+            continue;
+        }
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("# TYPE <name> <kind>");
+            assert!(["counter", "gauge", "histogram"].contains(&kind), "{line}");
+            assert_eq!(help.as_deref(), Some(name), "# HELP must precede {line}");
+            assert!(declared.insert(name.to_string()), "{name} declared twice");
+            current = Some((name.to_string(), kind.to_string()));
+            continue;
+        }
+        let (sample, _, _) = parse_sample(line);
+        let (family, kind) = current
+            .as_ref()
+            .unwrap_or_else(|| panic!("sample before any # TYPE: {line}"));
+        let belongs = sample == *family
+            || (kind == "histogram"
+                && ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .any(|suffix| sample.strip_suffix(suffix) == Some(family.as_str())));
+        assert!(
+            belongs,
+            "{sample} sits in the group of {family} ({kind}): untyped or interleaved"
+        );
+    }
+    assert!(declared.contains("an5d_request_latency_us_quantile"));
+
+    shutdown(addr, server);
+}
+
+#[test]
+fn stats_and_metrics_render_the_same_collection() {
+    use an5d_service::telemetry::{collect, Kind, FAMILIES, QUANTILES};
+    use std::collections::BTreeMap;
+
+    let db = TempDb::new("no-drift");
+    let state = ServiceState::new(Arc::new(SerialBackend), 64)
+        .with_tune_db(Arc::new(an5d::TuneDb::open(&db.0).unwrap()));
+    let plan = r#"{"benchmark":"star2d1r","interior":[64,64],"steps":8,
+                   "config":{"bt":2,"bs":[32],"precision":"double"}}"#;
+    let execute = r#"{"benchmark":"j2d5pt","interior":[24,24],"steps":5,
+                      "config":{"bt":2,"bs":[12],"precision":"double"}}"#;
+    let batch = format!(r#"{{"jobs":[{execute}]}}"#);
+    for (method, path, body) in [
+        ("POST", "/plan", plan),
+        ("POST", "/plan", plan),
+        ("POST", "/predict", plan),
+        ("POST", "/tune", TUNE_BODY),
+        ("POST", "/tune", TUNE_BODY),
+        ("POST", "/codegen?stream=1", plan),
+        ("POST", "/execute", execute),
+        ("POST", "/batch", batch.as_str()),
+        ("POST", "/plan", "{}"),
+        ("GET", "/devices", ""),
+        ("GET", "/stats", ""),
+    ] {
+        let mut response = dispatch(&state, &Request::new(method, path, body.as_bytes()));
+        response.body.collect().expect("body drains");
+    }
+    let mut late = Request::new("POST", "/plan", plan.as_bytes());
+    late.deadline = Some(an5d_fault::Deadline::in_ms(0));
+    assert_eq!(dispatch(&state, &late).status, 504);
+
+    let collection = collect(&state);
+    let text = collection.render_prometheus();
+    let stats = collection.render_stats(&state);
+
+    // The /stats leaves the exposition implies, derived from the text
+    // alone: each sample at its family's declared path, a histogram's
+    // mean from `_sum`/`_count`, its quantiles from `<name>_quantile`.
+    let family = |name: &str| {
+        FAMILIES
+            .iter()
+            .find(|family| family.name == name)
+            .unwrap_or_else(|| panic!("/metrics family {name} has no /stats path"))
+    };
+    let histogram = |name: &str| {
+        FAMILIES
+            .iter()
+            .find(|family| family.name == name && family.kind == Kind::Histogram)
+    };
+    let leaf = |path: &str, label: &str, word: &str| {
+        path.split('.')
+            .map(|segment| {
+                if segment.starts_with('<') {
+                    label
+                } else {
+                    segment
+                }
+            })
+            .collect::<Vec<_>>()
+            .join(".")
+            .replace("{}", word)
+    };
+    let mut expected: BTreeMap<String, u64> = BTreeMap::new();
+    let mut means: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    let mut sampled = std::collections::BTreeSet::new();
+    for line in text.lines().filter(|line| !line.starts_with('#')) {
+        let (name, labels, value) = parse_sample(line);
+        let value = value as u64;
+        let label = labels
+            .iter()
+            .find(|(key, _)| key != "le" && key != "quantile")
+            .map_or("", |(_, value)| value.as_str());
+        let suffixed = |suffix: &str| name.strip_suffix(suffix).and_then(histogram);
+        if let Some(family) = suffixed("_quantile") {
+            let quantile = &labels.iter().find(|(key, _)| key == "quantile").unwrap().1;
+            let (_, _, word) = QUANTILES
+                .iter()
+                .find(|(text, ..)| text == quantile)
+                .unwrap();
+            expected.insert(leaf(family.stats, label, word), value);
+        } else if let Some(family) = suffixed("_sum") {
+            means
+                .entry(leaf(family.stats, label, "mean"))
+                .or_default()
+                .0 = value;
+        } else if let Some(family) = suffixed("_count") {
+            means
+                .entry(leaf(family.stats, label, "mean"))
+                .or_default()
+                .1 = value;
+            sampled.insert(family.name);
+        } else if suffixed("_bucket").is_none() {
+            let family = family(&name);
+            let path = leaf(family.stats, label, "");
+            // The fleet-wide "cache" object sums the per-device ones.
+            if let Some(key) = path
+                .strip_prefix("devices.")
+                .and_then(|rest| rest.split_once(".cache."))
+                .map(|(_, key)| format!("cache.{key}"))
+            {
+                *expected.entry(key).or_default() += value;
+            }
+            expected.insert(path, value);
+            sampled.insert(family.name);
+        }
+    }
+    for (path, (sum, count)) in means {
+        expected.insert(path, sum.checked_div(count).unwrap_or(0));
+    }
+    // The traffic above reaches every declared family.
+    for family in FAMILIES {
+        assert!(
+            sampled.contains(family.name),
+            "{} has no sample",
+            family.name
+        );
+    }
+
+    // Every numeric /stats leaf; strings and booleans are the
+    // hand-built names and flags, floats the derived hit rates.
+    fn leaves(json: &Json, prefix: &str, out: &mut BTreeMap<String, u64>) {
+        match json {
+            Json::Obj(fields) => {
+                for (key, value) in fields {
+                    let path = if prefix.is_empty() {
+                        key.clone()
+                    } else {
+                        format!("{prefix}.{key}")
+                    };
+                    leaves(value, &path, out);
+                }
+            }
+            Json::Int(value) => {
+                out.insert(prefix.to_string(), u64::try_from(*value).unwrap());
+            }
+            Json::Num(_) => assert!(prefix.ends_with("cache.hit_rate"), "{prefix}"),
+            Json::Str(_) | Json::Bool(_) => {}
+            Json::Null | Json::Arr(_) => panic!("unexpected /stats leaf at {prefix}"),
+        }
+    }
+    let mut actual = BTreeMap::new();
+    leaves(&stats, "", &mut actual);
+    for (path, value) in &actual {
+        assert_eq!(
+            expected.get(path),
+            Some(value),
+            "/stats {path} has no equal /metrics sample"
+        );
+    }
+    for path in expected.keys() {
+        assert!(actual.contains_key(path), "/metrics implies /stats {path}");
+    }
+    assert_eq!(actual.get("deadline_expired"), Some(&1));
+}

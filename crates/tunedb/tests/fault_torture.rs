@@ -138,6 +138,8 @@ fn clean_append_failures_roll_back_and_leave_no_tail() {
 
 #[test]
 fn sync_on_append_survives_reopen_round_trips() {
+    // Its appends must not consume a fault another test installed.
+    let _global = GLOBAL_PLAN.lock().unwrap_or_else(|e| e.into_inner());
     let path = temp_path("sync");
     let _cleanup = TempFile(path.clone());
     let (key, result) = sample("v100", 90);
