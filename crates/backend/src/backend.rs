@@ -58,7 +58,7 @@ impl BackendElement for f64 {
 /// backends may only change *how fast* the answer arrives, never the
 /// answer.
 pub trait ExecutionBackend: Send + Sync {
-    /// Registry name of this backend (e.g. `"serial"`, `"parallel"`).
+    /// Registry name of this backend (e.g. `"serial"`, `"vector"`).
     fn name(&self) -> &'static str;
 
     /// Human-readable description of the schedule (worker count etc.).
@@ -114,7 +114,7 @@ impl ExecutionBackend for SerialBackend {
     }
 }
 
-/// Tile-parallel CPU backend.
+/// Vectorized, tile-parallel CPU backend.
 ///
 /// Within each temporal block the spatial tiles are independent: every
 /// tile reads only the immutable input grid and owns a disjoint write-back
@@ -123,148 +123,24 @@ impl ExecutionBackend for SerialBackend {
 /// ([`an5d_runtime::global`]), with tiles claimed one at a time (dynamic
 /// scheduling, so an expensive tile never serialises a static chunk
 /// behind it), collects the detached [`TileRun`]s, and applies them
-/// **in canonical tile order** on the driving thread.
+/// **in canonical tile order** on the driving thread. Temporal blocks stay
+/// sequential (block *k + 1* consumes the grid block *k* produced).
 ///
-/// Determinism: each `f64` cell value is produced by exactly one tile
-/// running exactly the serial executor's per-tile code, so grids are
-/// bit-identical to [`SerialBackend`] regardless of thread count or
-/// scheduling; counters are aggregated in tile order, so totals are
-/// identical too. Temporal blocks stay sequential (block *k + 1* consumes
-/// the grid block *k* produced).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelCpuBackend {
-    threads: usize,
-}
-
-impl ParallelCpuBackend {
-    /// A backend with an explicit tile-execution concurrency cap
-    /// (clamped to ≥ 1): at most `threads` threads — pool workers plus
-    /// the driving thread — execute tiles at once.
-    ///
-    /// The clamp is a convenience for programmatic construction only; the
-    /// string registry treats `"parallel:0"` as an invalid spec and
-    /// rejects it (see [`crate::create_backend`]) instead of masking the
-    /// zero.
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-        }
-    }
-
-    /// A backend with one executor per available CPU.
-    #[must_use]
-    pub fn with_available_parallelism() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        Self::new(threads)
-    }
-
-    /// The tile-execution concurrency cap.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn execute<T: BackendElement>(
-        &self,
-        plan: &KernelPlan,
-        problem: &StencilProblem,
-        initial: Grid<T>,
-    ) -> BlockedRun<T> {
-        let _span = an5d_obs::Span::enter("backend.execute");
-        assert_eq!(
-            initial.shape(),
-            problem.grid_shape().as_slice(),
-            "initial grid shape does not match the problem"
-        );
-
-        let ctx = TileContext::new(plan, problem);
-        let tiles = ctx.tiles();
-        let pool = an5d_runtime::global();
-        let mut counters = an5d_gpusim::TrafficCounters::new();
-        let mut current = initial;
-        for chunk in temporal_chunks(problem.time_steps(), plan.config().bt()) {
-            // Fan the tiles of this temporal block across the shared
-            // pool; the slot index doubles as the tile index, keeping
-            // aggregation order canonical no matter which thread ran
-            // which tile.
-            let current_ref = &current;
-            let ctx_ref = &ctx;
-            let runs: Vec<TileRun<T>> = pool.map_indexed_limited(self.threads, tiles.len(), |k| {
-                ctx_ref.execute_tile(current_ref, &tiles[k], chunk)
-            });
-
-            // Deterministic aggregation: apply write-backs and sum counters
-            // in canonical tile order on the driving thread.
-            let mut next = current.clone();
-            for run in runs {
-                run.apply_to(&mut next);
-                counters += run.counters;
-            }
-            counters.kernel_launches += 1;
-            current = next;
-        }
-        BlockedRun {
-            grid: current,
-            counters,
-        }
-    }
-}
-
-impl Default for ParallelCpuBackend {
-    fn default() -> Self {
-        Self::with_available_parallelism()
-    }
-}
-
-impl ExecutionBackend for ParallelCpuBackend {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn describe(&self) -> String {
-        format!("parallel ({} pool executors)", self.threads)
-    }
-
-    fn execute_f32(
-        &self,
-        plan: &KernelPlan,
-        problem: &StencilProblem,
-        initial: Grid<f32>,
-    ) -> BlockedRun<f32> {
-        self.execute(plan, problem, initial)
-    }
-
-    fn execute_f64(
-        &self,
-        plan: &KernelPlan,
-        problem: &StencilProblem,
-        initial: Grid<f64>,
-    ) -> BlockedRun<f64> {
-        self.execute(plan, problem, initial)
-    }
-}
-
-/// Vectorized CPU backend: tile-parallel like [`ParallelCpuBackend`], but
-/// each tile runs through the row-major fast path
-/// ([`TileContext::execute_tile_rows`]) instead of the scalar per-cell
-/// executor.
+/// Each tile runs through the row-major fast path
+/// ([`TileContext::execute_tile_rows`]): the stencil expression is
+/// compiled into a postfix tape over flat neighbour offsets and evaluated
+/// a whole row at a time over contiguous stride-1 slices, with all
+/// halo/bounds logic hoisted out of the inner loops — the shape the
+/// compiler autovectorizes. Monomorphic `f32`/`f64` specialization comes
+/// from the [`BackendElement`] seal, so both precisions get their own
+/// vector code.
 ///
-/// The fast path compiles the stencil expression into a postfix tape over
-/// flat neighbour offsets and evaluates it a whole row at a time over
-/// contiguous stride-1 slices, with all halo/bounds logic hoisted out of
-/// the inner loops — the shape the compiler autovectorizes. Monomorphic
-/// `f32`/`f64` specialization comes from the [`BackendElement`] seal, so
-/// both precisions get their own vector code.
-///
-/// Determinism: every cell value is produced by the identical scalar
-/// operation sequence as [`SerialBackend`] (the tape evaluates the
-/// expression tree in the recursive evaluator's order and lanes never
-/// interact), and counters are aggregated in canonical tile order — grids
-/// *and* counter totals are bit-identical to the serial driver for any
-/// thread count.
+/// Determinism: every cell value is produced by exactly one tile through
+/// the identical scalar operation sequence as [`SerialBackend`] (the tape
+/// evaluates the expression tree in the recursive evaluator's order and
+/// lanes never interact), and counters are aggregated in canonical tile
+/// order — grids *and* counter totals are bit-identical to the serial
+/// driver for any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorCpuBackend {
     threads: usize,
@@ -272,12 +148,12 @@ pub struct VectorCpuBackend {
 
 impl VectorCpuBackend {
     /// A backend with an explicit tile-execution concurrency cap
-    /// (clamped to ≥ 1).
+    /// (clamped to ≥ 1): at most `threads` threads — pool workers plus
+    /// the driving thread — execute tiles at once.
     ///
-    /// As with [`ParallelCpuBackend::new`], the clamp is for programmatic
-    /// construction only; the string registry rejects `"vector:0"` as an
-    /// invalid spec (see [`crate::create_backend`]) instead of masking
-    /// the zero.
+    /// The clamp is for programmatic construction only; the string
+    /// registry rejects `"vector:0"` as an invalid spec (see
+    /// [`crate::create_backend`]) instead of masking the zero.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         Self {
@@ -319,12 +195,17 @@ impl VectorCpuBackend {
         let mut counters = an5d_gpusim::TrafficCounters::new();
         let mut current = initial;
         for chunk in temporal_chunks(problem.time_steps(), plan.config().bt()) {
+            // The slot index doubles as the tile index, keeping
+            // aggregation order canonical no matter which thread ran
+            // which tile.
             let current_ref = &current;
             let ctx_ref = &ctx;
             let runs: Vec<TileRun<T>> = pool.map_indexed_limited(self.threads, tiles.len(), |k| {
                 ctx_ref.execute_tile_rows(current_ref, &tiles[k], chunk)
             });
 
+            // Deterministic aggregation: apply write-backs and sum counters
+            // in canonical tile order on the driving thread.
             let mut next = current.clone();
             for run in runs {
                 run.apply_to(&mut next);
@@ -397,44 +278,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_bitwise_across_thread_counts() {
-        let (plan, problem, initial) = setup(&[32, 28], 7, 3, &[12], Some(12));
-        let serial = SerialBackend.execute_f64(&plan, &problem, initial.clone());
-        for threads in [1, 2, 3, 8] {
-            let parallel =
-                ParallelCpuBackend::new(threads).execute_f64(&plan, &problem, initial.clone());
-            assert_eq!(serial.grid, parallel.grid, "{threads} threads");
-            assert_eq!(serial.counters, parallel.counters, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn parallel_handles_more_workers_than_tiles() {
+    fn vector_handles_more_workers_than_tiles() {
         let (plan, problem, initial) = setup(&[16, 16], 3, 3, &[16], None);
         let serial = SerialBackend.execute_f64(&plan, &problem, initial.clone());
-        let parallel = ParallelCpuBackend::new(64).execute_f64(&plan, &problem, initial);
-        assert_eq!(serial.grid, parallel.grid);
-        assert_eq!(serial.counters, parallel.counters);
+        let vector = VectorCpuBackend::new(64).execute_f64(&plan, &problem, initial);
+        assert_eq!(serial.grid, vector.grid);
+        assert_eq!(serial.counters, vector.counters);
     }
 
     #[test]
     fn generic_dispatch_reaches_the_right_method() {
         let (plan, problem, initial) = setup(&[20, 20], 4, 2, &[10], None);
-        let backend: &dyn ExecutionBackend = &ParallelCpuBackend::new(2);
+        let backend: &dyn ExecutionBackend = &VectorCpuBackend::new(2);
         let via_trait = f64::execute_on(backend, &plan, &problem, initial.clone());
-        let direct = ParallelCpuBackend::new(2).execute_f64(&plan, &problem, initial);
+        let direct = VectorCpuBackend::new(2).execute_f64(&plan, &problem, initial);
         assert_eq!(via_trait.grid, direct.grid);
     }
 
     #[test]
     fn thread_count_is_clamped_to_at_least_one() {
-        assert_eq!(ParallelCpuBackend::new(0).threads(), 1);
         assert_eq!(VectorCpuBackend::new(0).threads(), 1);
     }
 
     #[test]
     fn describe_mentions_the_worker_count() {
-        assert!(ParallelCpuBackend::new(3).describe().contains('3'));
         assert!(VectorCpuBackend::new(4).describe().contains('4'));
         assert_eq!(SerialBackend.describe(), "serial");
     }
@@ -448,6 +315,20 @@ mod tests {
                 VectorCpuBackend::new(threads).execute_f64(&plan, &problem, initial.clone());
             assert_eq!(serial.grid, vector.grid, "{threads} threads");
             assert_eq!(serial.counters, vector.counters, "{threads} threads");
+        }
+    }
+
+    /// The tile-parallel fan-out on a ragged tiling (the last tile is
+    /// narrower) with a partial last temporal block (9 = 4 + 4 + 1 steps).
+    #[test]
+    fn parallel_matches_serial_bitwise_across_thread_counts() {
+        let (plan, problem, initial) = setup(&[41, 29], 9, 4, &[16], Some(10));
+        let serial = SerialBackend.execute_f64(&plan, &problem, initial.clone());
+        for threads in [1, 2, 3, 8] {
+            let parallel =
+                VectorCpuBackend::new(threads).execute_f64(&plan, &problem, initial.clone());
+            assert_eq!(serial.grid, parallel.grid, "{threads} threads");
+            assert_eq!(serial.counters, parallel.counters, "{threads} threads");
         }
     }
 

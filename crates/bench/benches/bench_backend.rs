@@ -1,10 +1,13 @@
-//! Criterion benchmark comparing execution backends (serial vs
-//! tile-parallel CPU) on a 3-D suite stencil, reporting the speedup.
+//! Criterion benchmark sweeping the `vector` backend's thread count
+//! (1, 2, and one executor per CPU) on a 3-D suite stencil, reporting
+//! the threading gain on its own: `vector[N]` against `vector[1]`, so
+//! the row-kernel gain over `serial` (see `bench_vector`) does not mix
+//! into it.
 
 use an5d::{suite, ExecutionBackend};
 use an5d::{
-    BlockConfig, FrameworkScheme, Grid, GridInit, KernelPlan, ParallelCpuBackend, Precision,
-    SerialBackend, StencilProblem,
+    BlockConfig, FrameworkScheme, Grid, GridInit, KernelPlan, Precision, StencilProblem,
+    VectorCpuBackend,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
@@ -18,20 +21,20 @@ fn workload() -> (KernelPlan, StencilProblem, Grid<f64>) {
     (plan, problem, initial)
 }
 
-fn bench_serial_vs_parallel(c: &mut Criterion) {
+fn bench_thread_sweep(c: &mut Criterion) {
     let (plan, problem, initial) = workload();
     let threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
+    let mut sweep = vec![1usize, 2, threads];
+    sweep.sort_unstable();
+    sweep.dedup();
 
     let mut group = c.benchmark_group("backend/star3d1r_32cubed_bt2");
-    group.bench_function("serial", |b| {
-        b.iter(|| SerialBackend.execute_f64(&plan, &problem, initial.clone()));
-    });
-    for workers in [2usize, threads.max(2)] {
-        let backend = ParallelCpuBackend::new(workers);
+    for &workers in &sweep {
+        let backend = VectorCpuBackend::new(workers);
         group.bench_with_input(
-            BenchmarkId::new("parallel", workers),
+            BenchmarkId::new("vector", workers),
             &backend,
             |b, backend| {
                 b.iter(|| backend.execute_f64(&plan, &problem, initial.clone()));
@@ -52,13 +55,13 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
             .min()
             .expect("three samples")
     };
-    let serial = time(&SerialBackend);
-    let parallel = time(&ParallelCpuBackend::with_available_parallelism());
+    let single = time(&VectorCpuBackend::new(1));
+    let multi = time(&VectorCpuBackend::new(threads));
     println!(
-        "backend speedup: serial {serial:?} / parallel[{threads}] {parallel:?} = {:.2}x",
-        serial.as_secs_f64() / parallel.as_secs_f64()
+        "backend speedup: vector[1] {single:?} / vector[{threads}] {multi:?} = {:.2}x",
+        single.as_secs_f64() / multi.as_secs_f64()
     );
 }
 
-criterion_group!(benches, bench_serial_vs_parallel);
+criterion_group!(benches, bench_thread_sweep);
 criterion_main!(benches);

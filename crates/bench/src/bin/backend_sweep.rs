@@ -5,7 +5,7 @@
 //!
 //! The workload honours `AN5D_BACKEND` for the facade default but always
 //! sweeps the full registry, so the output doubles as a correctness check
-//! (identical counters) and a speedup report (serial vs parallel).
+//! (identical counters) and a speedup report (each backend vs serial).
 
 use an5d::{suite, BatchDriver, BatchJob, BlockConfig, Precision, TrafficCounters};
 use an5d_bench::experiments::common::plan_cache;

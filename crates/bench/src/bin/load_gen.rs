@@ -13,12 +13,12 @@
 //!          [--batch]
 //! ```
 //!
-//! `--backend SPEC` (`serial`, `parallel[:threads]`, `vector[:threads]`)
-//! selects the execution backend the in-process server runs `/execute`
-//! on; an unknown spec is a startup error. Backends are semantically
-//! transparent, so the byte-identity assertions are unchanged — the
-//! expected bytes still come from direct serial facade calls, and every
-//! `200` must match them no matter which backend served it.
+//! `--backend SPEC` (`serial`, `vector[:threads]`) selects the execution
+//! backend the in-process server runs `/execute` on; an unknown spec is
+//! a startup error. Backends are semantically transparent, so the
+//! byte-identity assertions are unchanged — the expected bytes still
+//! come from direct serial facade calls, and every `200` must match them
+//! no matter which backend served it.
 //!
 //! `--chaos` replaces the byte-identity phases with a **chaos soak**: the
 //! in-process server starts with a seeded fault plan (random connection
@@ -87,7 +87,7 @@ use an5d::{
     BatchJob, BlockConfig, ExecutionBackend, GpuDevice, GridInit, Precision, SearchSpace,
     SerialBackend,
 };
-use an5d_service::{api, client, parse_json, Server, ServerConfig};
+use an5d_service::{api, parse_json, Client, HttpResponse, RetryPolicy, Server, ServerConfig};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -404,26 +404,10 @@ fn finish() -> ! {
     std::process::exit(1);
 }
 
-/// SplitMix64 — the same deterministic scrambler the fault plan uses,
-/// so the chaos soak's deadline rolls are reproducible from the seed.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Nearest-rank percentile of an ascending-sorted series.
-fn percentile(sorted: &[Duration], pct: usize) -> Duration {
-    assert!(!sorted.is_empty());
-    let rank = (pct * sorted.len()).div_ceil(100).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// Nearest-rank percentile of an ascending-sorted microsecond series —
-/// the same rule the server's histogram quantile uses, so the two sides
-/// are comparable.
-fn percentile_us(sorted: &[u64], pct: usize) -> u64 {
+/// Nearest-rank percentile of an ascending-sorted series — the same
+/// rule the server's histogram quantile uses, so the two sides are
+/// comparable.
+fn percentile<T: Copy>(sorted: &[T], pct: usize) -> T {
     assert!(!sorted.is_empty());
     let rank = (pct * sorted.len()).div_ceil(100).clamp(1, sorted.len());
     sorted[rank - 1]
@@ -462,23 +446,13 @@ fn us(elapsed: Duration) -> u64 {
     u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Percentile summary of an ascending-sorted microsecond series as a
-/// JSON object for the `--json` report.
-fn percentile_report(sorted: &[u64]) -> an5d_service::Json {
-    an5d_service::Json::obj(vec![
-        (
-            "p50_us",
-            an5d_service::Json::Int(i128::from(percentile_us(sorted, 50))),
-        ),
-        (
-            "p95_us",
-            an5d_service::Json::Int(i128::from(percentile_us(sorted, 95))),
-        ),
-        (
-            "p99_us",
-            an5d_service::Json::Int(i128::from(percentile_us(sorted, 99))),
-        ),
-    ])
+/// The `p50_us`/`p95_us`/`p99_us` fields of an ascending-sorted
+/// microsecond series, for the `--json` report.
+fn percentile_fields(sorted: &[u64]) -> Vec<(&'static str, an5d_service::Json)> {
+    [("p50_us", 50), ("p95_us", 95), ("p99_us", 99)]
+        .into_iter()
+        .map(|(key, pct)| (key, an5d_service::Json::Int(percentile(sorted, pct).into())))
+        .collect()
 }
 
 /// The open-connection soak: hold `--connections` keep-alive connections
@@ -507,15 +481,16 @@ fn run_soak(args: &Args, template: &Template) -> an5d_service::Json {
     )
     .expect("bind soak server");
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     // Baseline: /parse round-trip percentiles with almost no
     // connections open.
     let mut baseline: Vec<u64> = Vec::with_capacity(200);
     {
-        let mut conn = client::KeepAliveClient::new(addr);
+        let mut conn = Client::new(addr);
         for _ in 0..200 {
             let sent = Instant::now();
-            let (status, body) = conn
+            let HttpResponse { status, body, .. } = conn
                 .post(template.path, &template.body)
                 .expect("baseline request");
             assert_eq!(status, 200);
@@ -526,18 +501,18 @@ fn run_soak(args: &Args, template: &Template) -> an5d_service::Json {
     baseline.sort_unstable();
     println!(
         "load_gen: baseline /parse p50 {}us p95 {}us p99 {}us",
-        percentile_us(&baseline, 50),
-        percentile_us(&baseline, 95),
-        percentile_us(&baseline, 99),
+        percentile(&baseline, 50),
+        percentile(&baseline, 95),
+        percentile(&baseline, 99),
     );
 
     // Ramp: every connection completes one request (byte-identical) and
     // then sits idle — the reactor must park it for the duration.
-    let mut parked: Vec<client::KeepAliveClient> = Vec::with_capacity(args.connections);
+    let mut parked: Vec<Client> = Vec::with_capacity(args.connections);
     let ramp_started = Instant::now();
     for index in 0..args.connections {
-        let mut conn = client::KeepAliveClient::new(addr);
-        let (status, body) = conn
+        let mut conn = Client::new(addr);
+        let HttpResponse { status, body, .. } = conn
             .post(template.path, &template.body)
             .unwrap_or_else(|e| panic!("ramp connection {index}: {e}"));
         assert_eq!(status, 200, "ramp connection {index}");
@@ -559,11 +534,11 @@ fn run_soak(args: &Args, template: &Template) -> an5d_service::Json {
         for client_id in 0..args.clients {
             let soak_latencies = &soak_latencies;
             scope.spawn(move || {
-                let mut conn = client::KeepAliveClient::new(addr);
+                let mut conn = Client::new(addr);
                 let mut series = Vec::new();
                 while Instant::now() < deadline {
                     let sent = Instant::now();
-                    let (status, body) = conn
+                    let HttpResponse { status, body, .. } = conn
                         .post(template.path, &template.body)
                         .unwrap_or_else(|e| panic!("soak client {client_id}: {e}"));
                     assert_eq!(status, 200, "soak client {client_id}");
@@ -581,8 +556,9 @@ fn run_soak(args: &Args, template: &Template) -> an5d_service::Json {
         // Mid-soak: the connection gauges must show the idle mass parked
         // in the reactor, not occupying workers.
         std::thread::sleep(Duration::from_secs((args.soak / 2).max(1)));
-        let (status, metrics_text) = client::get(addr, "/metrics").expect("/metrics mid-soak");
-        assert_eq!(status, 200);
+        let metrics = client.get("/metrics").expect("/metrics mid-soak");
+        assert_eq!(metrics.status, 200);
+        let metrics_text = metrics.body;
         for line in metrics_text
             .lines()
             .filter(|l| l.starts_with("an5d_connections_") && !l.starts_with('#'))
@@ -615,14 +591,11 @@ fn run_soak(args: &Args, template: &Template) -> an5d_service::Json {
     let mut soak_series = soak_latencies.into_inner().unwrap();
     assert!(!soak_series.is_empty(), "soak produced no requests");
     soak_series.sort_unstable();
-    let (p99_base, p99_soak) = (
-        percentile_us(&baseline, 99),
-        percentile_us(&soak_series, 99),
-    );
+    let (p99_base, p99_soak) = (percentile(&baseline, 99), percentile(&soak_series, 99));
     println!(
         "load_gen: soak /parse p50 {}us p95 {}us p99 {}us over {} requests",
-        percentile_us(&soak_series, 50),
-        percentile_us(&soak_series, 95),
+        percentile(&soak_series, 50),
+        percentile(&soak_series, 95),
         p99_soak,
         soak_series.len(),
     );
@@ -639,8 +612,8 @@ fn run_soak(args: &Args, template: &Template) -> an5d_service::Json {
     });
     println!("load_gen: soak p99 {p99_soak}us vs bound {p99_bound}us (baseline p99 {p99_base}us)");
 
-    let (status, _) = client::post(addr, "/shutdown", "").expect("soak shutdown");
-    assert_eq!(status, 200);
+    let shutdown = client.post("/shutdown", "").expect("soak shutdown");
+    assert_eq!(shutdown.status, 200);
     server.wait();
     drop(parked);
 
@@ -669,8 +642,14 @@ fn run_soak(args: &Args, template: &Template) -> an5d_service::Json {
             "active_observed",
             an5d_service::Json::Int(i128::from(observed.2)),
         ),
-        ("baseline", percentile_report(&baseline)),
-        ("soak", percentile_report(&soak_series)),
+        (
+            "baseline",
+            an5d_service::Json::obj(percentile_fields(&baseline)),
+        ),
+        (
+            "soak",
+            an5d_service::Json::obj(percentile_fields(&soak_series)),
+        ),
     ])
 }
 
@@ -733,8 +712,9 @@ fn run_chaos(args: &Args, templates: &[Template]) -> an5d_service::Json {
     )
     .expect("bind chaos server");
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
-    let policy = |token: u64| client::RetryPolicy {
+    let policy = |token: u64| RetryPolicy {
         budget: 8,
         base: Duration::from_millis(2),
         cap: Duration::from_millis(100),
@@ -748,14 +728,16 @@ fn run_chaos(args: &Args, templates: &[Template]) -> an5d_service::Json {
         .iter()
         .find(|t| t.path == "/parse")
         .expect("/parse template present");
-    let mut parked: Vec<client::KeepAliveClient> = Vec::with_capacity(args.connections);
+    let mut parked: Vec<Client> = Vec::with_capacity(args.connections);
     for index in 0..args.connections {
-        let mut conn = client::KeepAliveClient::new(addr).with_retry(policy(0x5EED ^ index as u64));
+        let mut conn = Client::new(addr).with_retry(policy(0x5EED ^ index as u64));
         match conn.post(parse.path, &parse.body) {
-            Ok((200, body)) => soft_assert(body == parse.expected, || {
+            Ok(HttpResponse {
+                status: 200, body, ..
+            }) => soft_assert(body == parse.expected, || {
                 format!("chaos ramp connection {index}: /parse bytes diverged")
             }),
-            Ok((status, body)) => {
+            Ok(HttpResponse { status, body, .. }) => {
                 soft_assert(false, || {
                     format!("chaos ramp connection {index}: status {status}: {body}")
                 });
@@ -775,8 +757,7 @@ fn run_chaos(args: &Args, templates: &[Template]) -> an5d_service::Json {
             let tallies = &tallies;
             scope.spawn(move || {
                 let mut tally = ChaosTally::default();
-                let mut conn =
-                    client::KeepAliveClient::new(addr).with_retry(policy(client_id as u64));
+                let mut conn = Client::new(addr).with_retry(policy(client_id as u64));
                 let mut index: u64 = 0;
                 while Instant::now() < soak_deadline {
                     let template = &templates[usize::try_from(index).unwrap() % templates.len()];
@@ -785,7 +766,7 @@ fn run_chaos(args: &Args, templates: &[Template]) -> an5d_service::Json {
                     // guaranteed admission shed (503); the short budgets
                     // probe mid-processing expiry (504) on the heavy
                     // endpoints.
-                    let roll = splitmix64(seed ^ ((client_id as u64) << 40) ^ index);
+                    let roll = an5d_fault::splitmix64(seed ^ ((client_id as u64) << 40) ^ index);
                     let request_deadline = roll
                         .is_multiple_of(8)
                         .then(|| [0u64, 15, 60, 5_000][usize::try_from(roll >> 8).unwrap() % 4]);
@@ -807,7 +788,7 @@ fn run_chaos(args: &Args, templates: &[Template]) -> an5d_service::Json {
                             Err(_) => {
                                 tally.retries += conn.retries();
                                 tally.reconnects += 1;
-                                conn = client::KeepAliveClient::new(addr)
+                                conn = Client::new(addr)
                                     .with_retry(policy(client_id as u64 ^ tally.reconnects << 8));
                                 conn.set_deadline_ms(request_deadline);
                             }
@@ -815,7 +796,9 @@ fn run_chaos(args: &Args, templates: &[Template]) -> an5d_service::Json {
                     }
                     tally.requests += 1;
                     match outcome {
-                        Some((200, body)) => {
+                        Some(HttpResponse {
+                            status: 200, body, ..
+                        }) => {
                             tally.ok_200 += 1;
                             if body != template.expected {
                                 tally.byte_mismatches += 1;
@@ -828,8 +811,10 @@ fn run_chaos(args: &Args, templates: &[Template]) -> an5d_service::Json {
                                 }
                             }
                         }
-                        Some((503, _)) => tally.shed_503 += 1,
-                        Some((504, body)) => {
+                        Some(HttpResponse { status: 503, .. }) => tally.shed_503 += 1,
+                        Some(HttpResponse {
+                            status: 504, body, ..
+                        }) => {
                             tally.expired_504 += 1;
                             soft_assert(body.contains("\"deadline_exceeded\":true"), || {
                                 format!(
@@ -839,7 +824,7 @@ fn run_chaos(args: &Args, templates: &[Template]) -> an5d_service::Json {
                                 )
                             });
                         }
-                        Some((status, body)) => {
+                        Some(HttpResponse { status, body, .. }) => {
                             tally.other_status += 1;
                             soft_assert(false, || {
                                 format!(
@@ -925,8 +910,9 @@ fn run_chaos(args: &Args, templates: &[Template]) -> an5d_service::Json {
 
     // Reconcile with the server's books: every injected kill must be an
     // accounted abort, every injected append failure a counted one.
-    let (status, metrics_text) = client::get(addr, "/metrics").expect("/metrics after chaos");
-    assert_eq!(status, 200);
+    let metrics = client.get("/metrics").expect("/metrics after chaos");
+    assert_eq!(metrics.status, 200);
+    let metrics_text = metrics.body;
     let aborted = gauge_value(&metrics_text, "an5d_connections_aborted").unwrap_or(0);
     let counted_append_failures =
         gauge_value(&metrics_text, "an5d_tunedb_append_failures_total").unwrap_or(0);
@@ -948,8 +934,8 @@ fn run_chaos(args: &Args, templates: &[Template]) -> an5d_service::Json {
         )
     });
 
-    let (status, _) = client::post(addr, "/shutdown", "").expect("chaos shutdown");
-    assert_eq!(status, 200);
+    let shutdown = client.post("/shutdown", "").expect("chaos shutdown");
+    assert_eq!(shutdown.status, 200);
     server.wait();
     drop(parked);
     let _ = std::fs::remove_file(&db_path);
@@ -1116,16 +1102,17 @@ fn run_batch(args: &Args) -> an5d_service::Json {
     )
     .expect("bind streaming-smoke server");
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     // Big enough for several chunks at the default 16 KiB chunk size.
     let codegen_body = r#"{"benchmark":"j2d9pt","interior":[512,512],"steps":16,
         "config":{"bt":16,"bs":[256],"hsn":256,"precision":"double"}}"#;
-    let (status, buffered) = client::post(addr, "/codegen", codegen_body).expect("/codegen");
-    soft_assert(status == 200, || {
-        format!("/codegen buffered: {status}: {buffered}")
+    let buffered = client.post("/codegen", codegen_body).expect("/codegen");
+    soft_assert(buffered.status == 200, || {
+        format!("/codegen buffered: {}: {}", buffered.status, buffered.body)
     });
     let (streamed, ttfb, total) = measure_stream(addr, "/codegen?stream=1", codegen_body);
-    soft_assert(streamed == buffered, || {
+    soft_assert(streamed == buffered.body, || {
         "/codegen?stream=1 bytes diverged from the buffered response".to_string()
     });
     // "Well below": at least three chunk pulls happened after the first
@@ -1148,13 +1135,17 @@ fn run_batch(args: &Args) -> an5d_service::Json {
         {"benchmark":"star2d1r","interior":[32,32],"steps":4,
          "config":{"bt":2,"bs":[16],"precision":"single"}}
     ]}"#;
-    let (status, batch_buffered) =
-        client::post(addr, "/batch?stream=0", batch_body).expect("/batch?stream=0");
-    soft_assert(status == 200, || {
-        format!("/batch buffered: {status}: {batch_buffered}")
+    let batch_buffered = client
+        .post("/batch?stream=0", batch_body)
+        .expect("/batch?stream=0");
+    soft_assert(batch_buffered.status == 200, || {
+        format!(
+            "/batch buffered: {}: {}",
+            batch_buffered.status, batch_buffered.body
+        )
     });
     let (batch_streamed, batch_ttfb, batch_total) = measure_stream(addr, "/batch", batch_body);
-    soft_assert(batch_streamed == batch_buffered, || {
+    soft_assert(batch_streamed == batch_buffered.body, || {
         "/batch streamed NDJSON diverged from the ?stream=0 response".to_string()
     });
     let lines = batch_streamed.lines().count();
@@ -1163,8 +1154,11 @@ fn run_batch(args: &Args) -> an5d_service::Json {
     });
     println!("load_gen: /batch — {lines} NDJSON lines, TTFB {batch_ttfb:?}, total {batch_total:?}");
 
-    let (status, metrics_text) = client::get(addr, "/metrics").expect("/metrics");
-    soft_assert(status == 200, || format!("/metrics: {status}"));
+    let metrics = client.get("/metrics").expect("/metrics");
+    soft_assert(metrics.status == 200, || {
+        format!("/metrics: {}", metrics.status)
+    });
+    let metrics_text = metrics.body;
     for series in [
         "an5d_streams_total{endpoint=\"/codegen\"}",
         "an5d_stream_chunks_total{endpoint=\"/codegen\"}",
@@ -1176,8 +1170,8 @@ fn run_batch(args: &Args) -> an5d_service::Json {
         });
     }
 
-    let (status, _) = client::post(addr, "/shutdown", "").expect("shutdown");
-    soft_assert(status == 200, || "shutdown refused".to_string());
+    let shutdown = client.post("/shutdown", "").expect("shutdown");
+    soft_assert(shutdown.status == 200, || "shutdown refused".to_string());
     server.wait();
 
     an5d_service::Json::obj(vec![
@@ -1306,11 +1300,13 @@ fn main() {
     )
     .expect("bind ephemeral port");
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
     println!("load_gen: an5d-serve listening on http://{addr}");
 
     // The fleet is exposed: every target device must be listed.
-    let (status, devices_body) = client::get(addr, "/devices").expect("/devices reachable");
-    assert_eq!(status, 200);
+    let devices = client.get("/devices").expect("/devices reachable");
+    assert_eq!(devices.status, 200);
+    let devices_body = devices.body;
     for (id, _) in &targets {
         assert!(
             devices_body.contains(&format!("\"{id}\"")),
@@ -1328,20 +1324,18 @@ fn main() {
             scope.spawn(move || {
                 // One persistent connection per client in keep-alive
                 // mode; a fresh connection per request otherwise.
-                let mut persistent = keep_alive.then(|| client::KeepAliveClient::new(addr));
+                let mut conn = Client::new(addr).with_keep_alive(keep_alive);
                 // Client k takes requests k, k+C, k+2C, … — deterministic
                 // coverage of the template mix with no coordination.
                 let mut sent_count: u64 = 0;
                 for index in (client_id..args.requests).step_by(args.clients) {
                     let template = &templates[index % templates.len()];
                     let sent = Instant::now();
-                    let result = match &mut persistent {
-                        Some(conn) => conn.post(template.path, &template.body),
-                        None => client::post(addr, template.path, &template.body),
-                    };
-                    let (status, body) = result.unwrap_or_else(|e| {
-                        panic!("client {client_id} request {index} {}: {e}", template.path)
-                    });
+                    let HttpResponse { status, body, .. } = conn
+                        .post(template.path, &template.body)
+                        .unwrap_or_else(|e| {
+                            panic!("client {client_id} request {index} {}: {e}", template.path)
+                        });
                     let elapsed = sent.elapsed();
                     sent_count += 1;
                     assert_eq!(
@@ -1362,12 +1356,10 @@ fn main() {
                         .unwrap()
                         .push((index % templates.len(), elapsed));
                 }
-                if let Some(conn) = &persistent {
-                    assert!(
-                        sent_count <= 1 || conn.reused() > 0,
-                        "client {client_id}: keep-alive mode must reuse its connection"
-                    );
-                }
+                assert!(
+                    !keep_alive || sent_count <= 1 || conn.reused() > 0,
+                    "client {client_id}: keep-alive mode must reuse its connection"
+                );
             });
         }
     });
@@ -1422,9 +1414,9 @@ fn main() {
         print_percentile_row(id, &mut series);
     }
 
-    let (status, stats_body) = client::get(addr, "/stats").expect("stats reachable");
-    assert_eq!(status, 200);
-    let stats = parse_json(&stats_body).expect("stats is valid JSON");
+    let stats = client.get("/stats").expect("stats reachable");
+    assert_eq!(stats.status, 200);
+    let stats = parse_json(&stats.body).expect("stats is valid JSON");
     let hit_rate = stats
         .get("cache")
         .and_then(|c| c.get("hit_rate"))
@@ -1520,8 +1512,9 @@ fn main() {
     // Server-side histograms: fetch /metrics, cross-check the
     // client-observed percentiles against the server's, and optionally
     // emit the machine-readable JSON report.
-    let (status, metrics_text) = client::get(addr, "/metrics").expect("/metrics reachable");
-    assert_eq!(status, 200);
+    let metrics = client.get("/metrics").expect("/metrics reachable");
+    assert_eq!(metrics.status, 200);
+    let metrics_text = metrics.body;
     assert!(
         metrics_text.contains("# TYPE an5d_request_latency_us histogram"),
         "/metrics must expose latency histograms"
@@ -1565,7 +1558,7 @@ fn main() {
                 &format!("endpoint=\"{path}\",quantile=\"{quantile}\""),
             )
             .unwrap_or_else(|| panic!("/metrics has no q{quantile} for {path}"));
-            let client_q = percentile_us(series, pct);
+            let client_q = percentile(series, pct);
             let bound = client_q + client_q / 32 + 128;
             assert!(
                 server_q <= bound,
@@ -1573,29 +1566,16 @@ fn main() {
                  beyond bucket resolution"
             );
         }
-        endpoint_reports.push((
-            (*path).to_string(),
-            an5d_service::Json::obj(vec![
-                ("count", an5d_service::Json::Int(i128::from(server_count))),
-                ("errors", an5d_service::Json::Int(i128::from(errors))),
-                (
-                    "p50_us",
-                    an5d_service::Json::Int(i128::from(percentile_us(series, 50))),
-                ),
-                (
-                    "p95_us",
-                    an5d_service::Json::Int(i128::from(percentile_us(series, 95))),
-                ),
-                (
-                    "p99_us",
-                    an5d_service::Json::Int(i128::from(percentile_us(series, 99))),
-                ),
-                (
-                    "max_us",
-                    an5d_service::Json::Int(i128::from(*series.last().unwrap())),
-                ),
-            ]),
+        let mut fields = vec![
+            ("count", an5d_service::Json::Int(i128::from(server_count))),
+            ("errors", an5d_service::Json::Int(i128::from(errors))),
+        ];
+        fields.extend(percentile_fields(series));
+        fields.push((
+            "max_us",
+            an5d_service::Json::Int(i128::from(*series.last().unwrap())),
         ));
+        endpoint_reports.push(((*path).to_string(), an5d_service::Json::obj(fields)));
     }
     println!(
         "load_gen: client percentiles agree with the server's /metrics histograms \
@@ -1648,8 +1628,8 @@ fn main() {
         println!("load_gen: wrote JSON report to {path}");
     }
 
-    let (status, _) = client::post(addr, "/shutdown", "").expect("shutdown reachable");
-    assert_eq!(status, 200);
+    let shutdown = client.post("/shutdown", "").expect("shutdown reachable");
+    assert_eq!(shutdown.status, 200);
     server.wait();
     println!("load_gen: clean shutdown");
     finish();

@@ -270,8 +270,10 @@ fn parse_trigger(trigger: &str) -> Result<Trigger, String> {
 }
 
 /// splitmix64: the standard 64-bit mixer; statistically solid for
-/// deriving per-call decisions from `(seed, point, call)`.
-fn splitmix64(mut x: u64) -> u64 {
+/// deriving per-call decisions from `(seed, point, call)`, and shared
+/// with the HTTP client's retry jitter and `load_gen`'s seeded rolls.
+#[must_use]
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

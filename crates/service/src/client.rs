@@ -1,22 +1,24 @@
-//! Minimal blocking HTTP/1.1 clients for `an5d-serve`.
+//! A minimal blocking HTTP/1.1 client for `an5d-serve`.
 //!
-//! Two flavours:
+//! One [`Client`] type covers both connection modes, through one
+//! write-request / read-head / read-body path:
 //!
-//! * the module-level [`get`]/[`post`]/[`raw`] helpers open **one
-//!   connection per request** (they send `Connection: close`) — simple,
-//!   stateless, fine for tests and one-off calls;
-//! * [`KeepAliveClient`] holds a persistent connection and reuses it
-//!   across requests, reconnecting transparently when the server closes
-//!   it (idle timeout, per-connection request bound, shutdown). This is
-//!   the high-throughput path the `load_gen` harness measures.
+//! * keep-alive on ([`Client::new`]): the client holds a persistent
+//!   connection and reuses it across requests, reconnecting
+//!   transparently when the server closes it (idle timeout,
+//!   per-connection request bound, shutdown). This is the
+//!   high-throughput path the `load_gen` harness measures;
+//! * keep-alive off ([`Client::one_shot`]): every request opens a fresh
+//!   connection and sends `Connection: close` — simple and stateless,
+//!   fine for tests and one-off calls.
 //!
-//! Both use socket timeouts so a wedged server fails a test instead of
-//! hanging it; production consumers would use any real HTTP client.
+//! Every call returns an [`HttpResponse`]. Sockets carry timeouts so a
+//! wedged server fails a test instead of hanging it; production
+//! consumers would use any real HTTP client.
 //!
-//! Framing is strict in both flavours: a response must carry
-//! `Content-Length` or `Transfer-Encoding: chunked`, and a body cut
-//! short mid-frame is an error — a truncated body is never silently
-//! returned as success.
+//! Framing is strict: a response must carry `Content-Length` or
+//! `Transfer-Encoding: chunked`, and a body cut short mid-frame is an
+//! error — a truncated body is never silently returned as success.
 
 use crate::http::ChunkDecoder;
 use std::io::{self, BufRead, BufReader, Write};
@@ -26,7 +28,7 @@ use std::time::Duration;
 /// Client-side socket timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Retry policy for [`KeepAliveClient`]: capped exponential backoff
+/// Retry policy for [`Client`]: capped exponential backoff
 /// with **seeded** jitter, so a whole fleet of clients with distinct
 /// seeds decorrelates while any single run stays reproducible.
 ///
@@ -80,7 +82,7 @@ impl RetryPolicy {
             .saturating_mul(1u32.checked_shl(attempt.min(16)).unwrap_or(u32::MAX))
             .min(self.cap);
         let nanos = u64::try_from(exp.as_nanos()).unwrap_or(u64::MAX);
-        let jittered = nanos / 2 + splitmix64(self.seed ^ token) % (nanos / 2 + 1);
+        let jittered = nanos / 2 + an5d_fault::splitmix64(self.seed ^ token) % (nanos / 2 + 1);
         let mut pause = Duration::from_nanos(jittered);
         if let Some(secs) = retry_after_secs {
             let hint = Duration::from_secs(secs).min(self.cap);
@@ -96,14 +98,6 @@ impl RetryPolicy {
 /// fire at most once.
 fn idempotent(method: &str, path: &str) -> bool {
     method.eq_ignore_ascii_case("GET") || !path.starts_with("/shutdown")
-}
-
-/// splitmix64: the standard 64-bit finalizer — plenty for jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 fn invalid(message: &str) -> io::Error {
@@ -224,176 +218,59 @@ fn read_body(reader: &mut impl BufRead, head: &ResponseHead) -> io::Result<Strin
     String::from_utf8(bytes).map_err(|_| invalid("non-UTF-8 body"))
 }
 
-/// Send raw request bytes and read one `(status, body)` response.
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn raw(addr: SocketAddr, request: &str) -> io::Result<(u16, String)> {
-    let (status, body, _) = raw_traced(addr, request)?;
-    Ok((status, body))
-}
-
-/// Like [`raw`], also returning the `x-an5d-trace` response header
-/// (the id to feed `GET /trace?id=`), when the server sent one.
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn raw_traced(addr: SocketAddr, request: &str) -> io::Result<(u16, String, Option<String>)> {
-    let response = raw_response(addr, request)?;
-    Ok((response.status, response.body, response.trace))
-}
-
-/// A complete one-shot response: status, body, and the headers the
-/// tests and harnesses assert on.
+/// A complete response: status, body, and the headers the tests and
+/// harnesses assert on.
 #[derive(Debug, Clone)]
 pub struct HttpResponse {
     /// HTTP status code.
     pub status: u16,
     /// Response body.
     pub body: String,
-    /// The `x-an5d-trace` header value, when the server sent one.
+    /// The `x-an5d-trace` header value, when the server sent one (the
+    /// id to feed `GET /trace?id=`).
     pub trace: Option<String>,
     /// The `Retry-After` header value in seconds, when the server sent
     /// one (503 sheds carry it).
     pub retry_after: Option<u64>,
 }
 
-/// Send raw request bytes and read one full [`HttpResponse`].
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn raw_response(addr: SocketAddr, request: &str) -> io::Result<HttpResponse> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    stream.write_all(request.as_bytes())?;
-    stream.flush()?;
-
-    let mut reader = BufReader::new(stream);
-    let head = read_head(&mut reader)?;
-    let body = read_body(&mut reader, &head)?;
-    Ok(HttpResponse {
-        status: head.status,
-        body,
-        trace: head.trace,
-        retry_after: head.retry_after,
-    })
+/// When a request may go out again after a transport failure that
+/// struck before any response byte arrived.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resend {
+    /// Never: the bytes go out exactly once (raw requests).
+    Never,
+    /// Only as the free reconnect when a kept-alive connection turns
+    /// out stale.
+    StaleOnly,
+    /// Also as budgeted, backoff-paced retries under the
+    /// [`RetryPolicy`] (idempotent requests).
+    Budgeted,
 }
 
-fn one_shot(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-    extra_headers: &str,
-) -> io::Result<HttpResponse> {
-    raw_response(
-        addr,
-        &format!(
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{extra_headers}Connection: close\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
-fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> io::Result<(u16, String, Option<String>)> {
-    let response = one_shot(addr, method, path, body, "")?;
-    Ok((response.status, response.body, response.trace))
-}
-
-/// `GET path` → `(status, body)` over a fresh one-shot connection.
+/// A blocking HTTP/1.1 client for one `an5d-serve` address.
 ///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn get(addr: SocketAddr, path: &str) -> io::Result<(u16, String)> {
-    let (status, body, _) = request(addr, "GET", path, "")?;
-    Ok((status, body))
-}
-
-/// `POST path` with a JSON body → `(status, body)` over a fresh
-/// one-shot connection.
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn post(addr: SocketAddr, path: &str, body: &str) -> io::Result<(u16, String)> {
-    let (status, body, _) = request(addr, "POST", path, body)?;
-    Ok((status, body))
-}
-
-/// `POST path` returning `(status, body, trace id)` — the trace id is
-/// the `x-an5d-trace` header value, usable with `GET /trace?id=`.
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn post_traced(
-    addr: SocketAddr,
-    path: &str,
-    body: &str,
-) -> io::Result<(u16, String, Option<String>)> {
-    request(addr, "POST", path, body)
-}
-
-/// `POST path` returning the full [`HttpResponse`] (including the
-/// `Retry-After` shed hint) over a fresh one-shot connection.
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn post_response(addr: SocketAddr, path: &str, body: &str) -> io::Result<HttpResponse> {
-    one_shot(addr, "POST", path, body, "")
-}
-
-/// `POST path` carrying an `x-an5d-deadline-ms` request deadline.
-///
-/// # Errors
-///
-/// Propagates connect/IO failures and malformed responses.
-pub fn post_with_deadline(
-    addr: SocketAddr,
-    path: &str,
-    body: &str,
-    deadline_ms: u64,
-) -> io::Result<HttpResponse> {
-    one_shot(
-        addr,
-        "POST",
-        path,
-        body,
-        &format!("{}: {deadline_ms}\r\n", crate::http::DEADLINE_HEADER),
-    )
-}
-
-/// A client that keeps one TCP connection to `an5d-serve` open and
-/// pushes every request through it, reconnecting when the server closes
-/// the connection (idle timeout, request bound, shutdown).
+/// With keep-alive on (the default) it keeps one TCP connection open
+/// and pushes every request through it, reconnecting when the server
+/// closes the connection; with keep-alive off every request opens a
+/// fresh connection and sends `Connection: close`.
 ///
 /// Without a [`RetryPolicy`] the only transparent recovery is a single
 /// free reconnect when the *kept-alive* connection turns out to be
 /// stale (the server closed it between requests; no response bytes had
 /// arrived, so re-sending is safe). [`with_retry`](Self::with_retry)
 /// adds budgeted, backoff-paced retries on top for idempotent requests
-/// — the client a chaos soak runs with.
+/// — the client a chaos soak runs with. Requests sent with
+/// [`raw`](Self::raw) are never re-sent.
 #[derive(Debug)]
-pub struct KeepAliveClient {
+pub struct Client {
     addr: SocketAddr,
+    keep_alive: bool,
     conn: Option<BufReader<TcpStream>>,
     /// Requests answered without opening a new connection.
     reused: u64,
-    /// `x-an5d-trace` header of the most recent response.
-    last_trace: Option<String>,
-    /// Budgeted retry policy; `None` keeps the legacy
-    /// stale-reconnect-only behavior.
+    /// Budgeted retry policy; `None` keeps the stale-reconnect-only
+    /// behavior.
     retry: Option<RetryPolicy>,
     /// Monotonic token feeding the jitter stream (one per pause).
     jitter_token: u64,
@@ -404,20 +281,34 @@ pub struct KeepAliveClient {
     deadline_ms: Option<u64>,
 }
 
-impl KeepAliveClient {
-    /// A client for the given server address; connects lazily.
+impl Client {
+    /// A keep-alive client for the given server address; connects
+    /// lazily.
     #[must_use]
     pub fn new(addr: SocketAddr) -> Self {
         Self {
             addr,
+            keep_alive: true,
             conn: None,
             reused: 0,
-            last_trace: None,
             retry: None,
             jitter_token: 0,
             retries: 0,
             deadline_ms: None,
         }
+    }
+
+    /// A client with keep-alive off: one fresh connection per request.
+    #[must_use]
+    pub fn one_shot(addr: SocketAddr) -> Self {
+        Self::new(addr).with_keep_alive(false)
+    }
+
+    /// Turn keep-alive on or off for subsequent requests.
+    #[must_use]
+    pub fn with_keep_alive(mut self, keep_alive: bool) -> Self {
+        self.keep_alive = keep_alive;
+        self
     }
 
     /// Attach a budgeted retry policy (see [`RetryPolicy`]).
@@ -440,18 +331,62 @@ impl KeepAliveClient {
         self.retries
     }
 
-    /// The `x-an5d-trace` id of the most recent response, when the
-    /// server sent one (feed it to `GET /trace?id=`).
-    #[must_use]
-    pub fn last_trace(&self) -> Option<&str> {
-        self.last_trace.as_deref()
-    }
-
     /// Requests served over an already-established connection (i.e. TCP
-    /// connection setups saved versus the one-shot client).
+    /// connection setups saved by keep-alive; always 0 with it off).
     #[must_use]
     pub fn reused(&self) -> u64 {
         self.reused
+    }
+
+    /// `GET path`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates connect/IO failures and malformed responses.
+    pub fn get(&mut self, path: &str) -> io::Result<HttpResponse> {
+        self.request("GET", path, "")
+    }
+
+    /// `POST path` with a JSON body.
+    ///
+    /// # Errors
+    ///
+    /// Propagates connect/IO failures and malformed responses.
+    pub fn post(&mut self, path: &str, body: &str) -> io::Result<HttpResponse> {
+        self.request("POST", path, body)
+    }
+
+    /// Send caller-built request bytes (which carry their own
+    /// `Connection` header) and read one response. The bytes go out
+    /// exactly once: no reconnect, no retry.
+    ///
+    /// # Errors
+    ///
+    /// Propagates connect/IO failures and malformed responses.
+    pub fn raw(&mut self, request: &str) -> io::Result<HttpResponse> {
+        self.send(request.as_bytes(), Resend::Never)
+    }
+
+    fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<HttpResponse> {
+        let deadline_header = self.deadline_ms.map_or_else(String::new, |ms| {
+            format!("{}: {ms}\r\n", crate::http::DEADLINE_HEADER)
+        });
+        let connection = if self.keep_alive {
+            "keep-alive"
+        } else {
+            "close"
+        };
+        let wire = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{deadline_header}Connection: {connection}\r\n\r\n{body}",
+            self.addr,
+            body.len()
+        );
+        let resend = if idempotent(method, path) {
+            Resend::Budgeted
+        } else {
+            Resend::StaleOnly
+        };
+        self.send(wire.as_bytes(), resend)
     }
 
     fn connect(addr: SocketAddr) -> io::Result<BufReader<TcpStream>> {
@@ -464,28 +399,17 @@ impl KeepAliveClient {
         Ok(BufReader::new(stream))
     }
 
-    /// One request/response exchange over the current connection.
+    /// One request/response exchange over `conn`.
     fn exchange(
         conn: &mut BufReader<TcpStream>,
-        addr: SocketAddr,
-        method: &str,
-        path: &str,
-        body: &str,
-        deadline_ms: Option<u64>,
-    ) -> io::Result<(String, ResponseHead)> {
-        let deadline_header = deadline_ms.map_or_else(String::new, |ms| {
-            format!("{}: {ms}\r\n", crate::http::DEADLINE_HEADER)
-        });
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{deadline_header}Connection: keep-alive\r\n\r\n{body}",
-            body.len()
-        );
-        conn.get_mut().write_all(head.as_bytes())?;
+        wire: &[u8],
+    ) -> io::Result<(ResponseHead, String)> {
+        conn.get_mut().write_all(wire)?;
         conn.get_mut().flush()?;
-        // Same principle for the head: only closed-before-status-line
-        // (UnexpectedEof from the first read) may keep its kind and thus
-        // remain retryable; any failure after response bytes started
-        // arriving is remapped so it cannot be silently re-sent.
+        // Only closed-before-status-line (UnexpectedEof from the first
+        // read) may keep its kind and thus remain retryable; any failure
+        // after response bytes started arriving is remapped so it cannot
+        // be silently re-sent.
         let head = read_head(conn).map_err(|e| {
             if e.kind() == io::ErrorKind::UnexpectedEof {
                 e
@@ -495,7 +419,7 @@ impl KeepAliveClient {
         })?;
         // Strict framing, Content-Length or chunked; every body failure
         // is remapped to InvalidData (never UnexpectedEof or a transport
-        // kind), so the retry logic in `request` cannot silently re-send
+        // kind), so the retry logic in `send` cannot silently re-send
         // after a response started arriving.
         let body = read_body(conn, &head).map_err(|e| {
             if e.kind() == io::ErrorKind::InvalidData {
@@ -504,26 +428,7 @@ impl KeepAliveClient {
                 invalid(&format!("failed reading response body: {e}"))
             }
         })?;
-        Ok((body, head))
-    }
-
-    /// `GET path` → `(status, body)`, reusing the connection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect/IO failures and malformed responses.
-    pub fn get(&mut self, path: &str) -> io::Result<(u16, String)> {
-        self.request("GET", path, "")
-    }
-
-    /// `POST path` with a JSON body → `(status, body)`, reusing the
-    /// connection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect/IO failures and malformed responses.
-    pub fn post(&mut self, path: &str, body: &str) -> io::Result<(u16, String)> {
-        self.request("POST", path, body)
+        Ok((head, body))
     }
 
     /// Spend one budgeted retry: pause per the policy (honoring
@@ -544,8 +449,8 @@ impl KeepAliveClient {
         true
     }
 
-    fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
-        let may_retry = idempotent(method, path);
+    fn send(&mut self, wire: &[u8], resend: Resend) -> io::Result<HttpResponse> {
+        let may_retry = resend == Resend::Budgeted;
         // Budgeted retries spent so far on this call.
         let mut attempt: u32 = 0;
         loop {
@@ -562,28 +467,31 @@ impl KeepAliveClient {
                     }
                 },
             };
-            match Self::exchange(&mut conn, self.addr, method, path, body, self.deadline_ms) {
-                Ok((response_body, head)) => {
+            match Self::exchange(&mut conn, wire) {
+                Ok((head, body)) => {
                     if had_conn {
                         self.reused += 1;
                     }
-                    if !head.close {
+                    if self.keep_alive && !head.close {
                         self.conn = Some(conn);
                     }
-                    self.last_trace = head.trace;
                     if head.status == 503
                         && may_retry
                         && self.retry.as_ref().is_some_and(|p| p.retry_on_503)
+                        && self.spend_retry(&mut attempt, head.retry_after)
                     {
-                        let retry_after = head.retry_after;
-                        if self.spend_retry(&mut attempt, retry_after) {
-                            continue;
-                        }
+                        continue;
                     }
-                    return Ok((head.status, response_body));
+                    return Ok(HttpResponse {
+                        status: head.status,
+                        body,
+                        trace: head.trace,
+                        retry_after: head.retry_after,
+                    });
                 }
                 Err(error)
                     if had_conn
+                        && resend != Resend::Never
                         && matches!(
                             error.kind(),
                             io::ErrorKind::UnexpectedEof

@@ -87,32 +87,30 @@
 //! `workers = 4` sustain 10k open keep-alive connections (`load_gen
 //! --connections 10000 --soak 30` measures exactly that; `/metrics`
 //! gauges `an5d_connections_{open,parked,active}` watch it live). The
-//! [`client::KeepAliveClient`] reuses one connection across requests —
+//! keep-alive [`Client`] reuses one connection across requests —
 //! `load_gen --no-keep-alive` quantifies what that reuse is worth in
 //! requests/sec.
 //!
 //! # Example
 //!
 //! ```
-//! use an5d_service::{client, Server, ServerConfig};
+//! use an5d_service::{Client, Server, ServerConfig};
 //!
 //! let server = Server::start(&ServerConfig {
 //!     addr: "127.0.0.1:0".to_string(), // ephemeral port
 //!     ..ServerConfig::default()
 //! })?;
-//! let addr = server.addr();
+//! let mut client = Client::new(server.addr());
 //!
-//! let (status, body) = client::post(
-//!     addr,
+//! let response = client.post(
 //!     "/plan",
 //!     r#"{"benchmark":"j2d5pt","interior":[64,64],"steps":8,
 //!         "config":{"bt":2,"bs":[32],"precision":"double"}}"#,
 //! )?;
-//! assert_eq!(status, 200);
-//! assert!(body.contains("\"nthr\""));
+//! assert_eq!(response.status, 200);
+//! assert!(response.body.contains("\"nthr\""));
 //!
-//! let (status, _) = client::post(addr, "/shutdown", "")?;
-//! assert_eq!(status, 200);
+//! assert_eq!(client.post("/shutdown", "")?.status, 200);
 //! server.wait();
 //! # Ok::<(), std::io::Error>(())
 //! ```
@@ -135,7 +133,7 @@ pub mod telemetry;
 pub use an5d_tunedb::json;
 pub use an5d_tunedb::TUNE_DB_ENV;
 
-pub use client::{HttpResponse, KeepAliveClient, RetryPolicy};
+pub use client::{Client, HttpResponse, RetryPolicy};
 pub use fleet::{Fleet, FleetShard, RoutePolicy, ShardStats, ShardTuneDbStats};
 pub use handlers::{
     dispatch, ServiceState, DEFAULT_SLOW_THRESHOLD, DEFAULT_STREAM_CHUNK, DEFAULT_TRACE_CAPACITY,

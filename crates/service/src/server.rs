@@ -637,7 +637,7 @@ pub fn banner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client;
+    use crate::client::{Client, HttpResponse};
     use an5d::SerialBackend;
 
     fn test_server_with(config: ServerConfig) -> Server {
@@ -658,10 +658,11 @@ mod tests {
     fn serves_stats_and_shuts_down_cleanly() {
         let server = test_server(2, 16);
         let addr = server.addr();
-        let (status, body) = client::get(addr, "/stats").unwrap();
+        let mut client = Client::one_shot(addr);
+        let HttpResponse { status, body, .. } = client.get("/stats").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"cache\""), "{body}");
-        let (status, body) = client::post(addr, "/shutdown", "").unwrap();
+        let HttpResponse { status, body, .. } = client.post("/shutdown", "").unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, r#"{"ok":true}"#);
         server.wait();
@@ -685,19 +686,26 @@ mod tests {
         );
         server.stop();
 
-        let err = Server::start(&ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            backend: Some("vectr".to_string()),
-            ..ServerConfig::default()
-        });
-        assert!(err.is_err(), "a typo'd backend must fail startup");
+        // A typo, and `parallel`, which is not a registered family.
+        for spec in ["vectr", "parallel"] {
+            let err = Server::start(&ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                backend: Some(spec.to_string()),
+                ..ServerConfig::default()
+            });
+            assert!(
+                err.is_err(),
+                "unregistered backend {spec:?} must fail startup"
+            );
+        }
     }
 
     #[test]
     fn stop_joins_without_outside_help() {
         let server = test_server(1, 4);
         let addr = server.addr();
-        let (status, _) = client::get(addr, "/stats").unwrap();
+        let mut client = Client::one_shot(addr);
+        let HttpResponse { status, .. } = client.get("/stats").unwrap();
         assert_eq!(status, 200);
         server.stop();
     }
@@ -706,12 +714,13 @@ mod tests {
     fn bad_requests_get_error_responses_not_hangs() {
         let server = test_server(2, 16);
         let addr = server.addr();
+        let mut client = Client::one_shot(addr);
         // Malformed request line.
-        let (status, body) = client::raw(addr, "BOGUS\r\n\r\n").unwrap();
+        let HttpResponse { status, body, .. } = client.raw("BOGUS\r\n\r\n").unwrap();
         assert_eq!(status, 400);
         assert!(body.contains("error"));
         // Unknown endpoint.
-        let (status, _) = client::post(addr, "/nope", "{}").unwrap();
+        let HttpResponse { status, .. } = client.post("/nope", "{}").unwrap();
         assert_eq!(status, 404);
         server.stop();
     }
@@ -720,9 +729,9 @@ mod tests {
     fn one_connection_serves_many_requests() {
         let server = test_server(2, 16);
         let addr = server.addr();
-        let mut client = client::KeepAliveClient::new(addr);
+        let mut client = Client::new(addr);
         for round in 0..10 {
-            let (status, body) = client.get("/stats").unwrap();
+            let HttpResponse { status, body, .. } = client.get("/stats").unwrap();
             assert_eq!(status, 200, "round {round}: {body}");
             assert!(body.contains("\"cache\""));
         }
@@ -774,9 +783,9 @@ mod tests {
             ..ServerConfig::default()
         });
         let addr = server.addr();
-        let mut client = client::KeepAliveClient::new(addr);
+        let mut client = Client::new(addr);
         for round in 0..10 {
-            let (status, _) = client.get("/stats").unwrap();
+            let HttpResponse { status, .. } = client.get("/stats").unwrap();
             assert_eq!(status, 200, "round {round}");
         }
         // Connections are recycled every 3 requests, so fewer than 9
@@ -797,8 +806,8 @@ mod tests {
             ..ServerConfig::default()
         });
         let addr = server.addr();
-        let mut client = client::KeepAliveClient::new(addr);
-        let (status, _) = client.get("/stats").unwrap();
+        let mut client = Client::new(addr);
+        let HttpResponse { status, .. } = client.get("/stats").unwrap();
         assert_eq!(status, 200);
         // Sit idle past the server's keep-alive timeout; the reactor
         // reaps the parked connection (a clean close, not an abort)...
@@ -806,10 +815,10 @@ mod tests {
         let snap = server.state().metrics().connections().snapshot();
         assert_eq!(snap.open, 0, "idle connection must be reaped: {snap:?}");
         assert_eq!(snap.aborted, 0, "idle reap is clean: {snap:?}");
-        let (status, _) = client::get(addr, "/stats").unwrap();
+        let HttpResponse { status, .. } = Client::one_shot(addr).get("/stats").unwrap();
         assert_eq!(status, 200);
         // ...and the idle client reconnects transparently.
-        let (status, _) = client.get("/stats").unwrap();
+        let HttpResponse { status, .. } = client.get("/stats").unwrap();
         assert_eq!(status, 200);
         server.stop();
     }
@@ -827,8 +836,8 @@ mod tests {
             ..ServerConfig::default()
         });
         let addr = server.addr();
-        let mut idle = client::KeepAliveClient::new(addr);
-        let (status, _) = idle.get("/stats").unwrap();
+        let mut idle = Client::new(addr);
+        let HttpResponse { status, .. } = idle.get("/stats").unwrap();
         assert_eq!(status, 200);
         // The connection now sits parked in the reactor.
         let started = std::time::Instant::now();
@@ -854,13 +863,13 @@ mod tests {
             ..ServerConfig::default()
         });
         let addr = server.addr();
-        let mut first = client::KeepAliveClient::new(addr);
-        let (status, _) = first.get("/stats").unwrap();
+        let mut first = Client::new(addr);
+        let HttpResponse { status, .. } = first.get("/stats").unwrap();
         assert_eq!(status, 200);
         // The first connection is now idle (parked).
-        let mut second = client::KeepAliveClient::new(addr);
+        let mut second = Client::new(addr);
         let started = std::time::Instant::now();
-        let (status, _) = second.get("/stats").unwrap();
+        let HttpResponse { status, .. } = second.get("/stats").unwrap();
         assert_eq!(status, 200);
         assert!(
             started.elapsed() < Duration::from_secs(2),
@@ -869,8 +878,8 @@ mod tests {
         );
         // Both clients keep interleaving on the single worker.
         for _ in 0..5 {
-            assert_eq!(first.get("/stats").unwrap().0, 200);
-            assert_eq!(second.get("/stats").unwrap().0, 200);
+            assert_eq!(first.get("/stats").unwrap().status, 200);
+            assert_eq!(second.get("/stats").unwrap().status, 200);
         }
         server.stop();
     }
@@ -879,8 +888,10 @@ mod tests {
     fn explicit_connection_close_is_honoured() {
         let server = test_server(1, 8);
         let addr = server.addr();
-        let (status, body) =
-            client::raw(addr, "GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+        let mut client = Client::one_shot(addr);
+        let HttpResponse { status, body, .. } = client
+            .raw("GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n")
+            .unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"cache\""));
         assert_eq!(server.reused_requests(), 0);
@@ -891,10 +902,10 @@ mod tests {
     fn connection_gauges_reflect_parked_connections() {
         let server = test_server(2, 16);
         let addr = server.addr();
-        let mut clients: Vec<client::KeepAliveClient> =
-            (0..5).map(|_| client::KeepAliveClient::new(addr)).collect();
+        let mut client = Client::one_shot(addr);
+        let mut clients: Vec<Client> = (0..5).map(|_| Client::new(addr)).collect();
         for client in &mut clients {
-            let (status, _) = client.get("/stats").unwrap();
+            let HttpResponse { status, .. } = client.get("/stats").unwrap();
             assert_eq!(status, 200);
         }
         // All five connections are now idle between requests: parked.
@@ -913,7 +924,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         // /metrics exposes the same numbers.
-        let (status, text) = client::get(addr, "/metrics").unwrap();
+        let response = client.get("/metrics").unwrap();
+        let (status, text) = (response.status, response.body);
         assert_eq!(status, 200);
         assert!(
             text.contains("an5d_connections_parked 5"),
@@ -952,8 +964,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         // A clean EOF between requests is NOT an abort.
-        let mut client = client::KeepAliveClient::new(addr);
-        let (status, _) = client.get("/stats").unwrap();
+        let mut client = Client::new(addr);
+        let HttpResponse { status, .. } = client.get("/stats").unwrap();
         assert_eq!(status, 200);
         drop(client); // clean keep-alive teardown
         let deadline = std::time::Instant::now() + Duration::from_secs(5);

@@ -5,7 +5,7 @@
 //! (c) let `Server::wait()` return within a bounded time.
 
 use an5d::SerialBackend;
-use an5d_service::{client, Server, ServerConfig};
+use an5d_service::{Client, HttpResponse, Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,6 +63,7 @@ fn shutdown_answers_in_flight_requests_and_cleanly_closes_parked_connections() {
     )
     .expect("bind ephemeral port");
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     // Park a few hundred idle keep-alive connections.
     let parked: Vec<TcpStream> = (0..PARKED).map(|_| park(addr)).collect();
@@ -91,7 +92,7 @@ fn shutdown_answers_in_flight_requests_and_cleanly_closes_parked_connections() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
-                client::post(addr, "/execute", body)
+                Client::one_shot(addr).post("/execute", body)
             })
         })
         .collect();
@@ -99,12 +100,12 @@ fn shutdown_answers_in_flight_requests_and_cleanly_closes_parked_connections() {
     std::thread::sleep(Duration::from_millis(30));
 
     let shutdown_at = Instant::now();
-    let (status, _) = client::post(addr, "/shutdown", "").expect("shutdown request");
+    let HttpResponse { status, .. } = client.post("/shutdown", "").expect("shutdown request");
     assert_eq!(status, 200);
 
     // Every in-flight request is answered in full.
     for (index, thread) in in_flight.into_iter().enumerate() {
-        let (status, body) = thread
+        let HttpResponse { status, body, .. } = thread
             .join()
             .unwrap()
             .unwrap_or_else(|e| panic!("in-flight request {index} dropped: {e}"));

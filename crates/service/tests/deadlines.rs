@@ -15,7 +15,7 @@
 //! local mutex.
 
 use an5d::SerialBackend;
-use an5d_service::{client, Server, ServerConfig};
+use an5d_service::{Client, HttpResponse, Server, ServerConfig};
 use std::sync::{Arc, Mutex};
 
 /// Serializes the tests that install (or must observe the absence of)
@@ -48,8 +48,11 @@ fn expired_at_admission_is_shed_with_503_and_retry_after_without_occupying_a_wor
 
     // A 0 ms budget is stamped at header-parse time, so it is expired
     // with certainty by the time the reactor considers dispatching.
-    let response =
-        client::post_with_deadline(addr, "/plan", PLAN_BODY, 0).expect("shed response arrives");
+    let mut client = Client::one_shot(addr);
+    client.set_deadline_ms(Some(0));
+    let response = client
+        .post("/plan", PLAN_BODY)
+        .expect("shed response arrives");
     assert_eq!(response.status, 503, "{}", response.body);
     assert!(
         response.retry_after.is_some(),
@@ -73,13 +76,14 @@ fn expired_at_admission_is_shed_with_503_and_retry_after_without_occupying_a_wor
 
     // The same request with a generous budget sails through — proving
     // the shed above was the deadline, not the request.
-    let response =
-        client::post_with_deadline(addr, "/plan", PLAN_BODY, 30_000).expect("healthy response");
+    client.set_deadline_ms(Some(30_000));
+    let response = client.post("/plan", PLAN_BODY).expect("healthy response");
     assert_eq!(response.status, 200, "{}", response.body);
     assert_eq!(metrics.endpoint("/plan").count, 1);
 
     // The shed is visible on /metrics for chaos harnesses to reconcile.
-    let (status, metrics_text) = client::get(addr, "/metrics").unwrap();
+    let response = client.get("/metrics").unwrap();
+    let (status, metrics_text) = (response.status, response.body);
     assert_eq!(status, 200);
     assert!(
         metrics_text.contains("an5d_deadline_shed_total 1"),
@@ -106,8 +110,9 @@ fn tune_with_a_short_deadline_returns_504_with_partial_progress() {
 
     let body = r#"{"benchmark":"j2d5pt","interior":[256,256],"steps":50,
                    "device":"v100","precision":"single","space":"quick"}"#;
-    let response =
-        client::post_with_deadline(addr, "/tune", body, 40).expect("504 response arrives");
+    let mut client = Client::one_shot(addr);
+    client.set_deadline_ms(Some(40));
+    let response = client.post("/tune", body).expect("504 response arrives");
     an5d_fault::uninstall();
 
     assert_eq!(response.status, 504, "{}", response.body);
@@ -154,13 +159,14 @@ fn malformed_deadline_header_is_rejected_with_400() {
     an5d_fault::uninstall();
     let server = start_server();
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     let request = format!(
         "POST /plan HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\nx-an5d-deadline-ms: soon\r\nConnection: close\r\n\r\n{PLAN_BODY}",
         PLAN_BODY.len()
     );
-    let (status, body) = client::raw(addr, &request).expect("400 response arrives");
+    let HttpResponse { status, body, .. } = client.raw(&request).expect("400 response arrives");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("invalid x-an5d-deadline-ms"), "{body}");
 

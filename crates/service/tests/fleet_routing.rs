@@ -8,7 +8,7 @@
 //! concurrently and the shards sit in one process.
 
 use an5d::SerialBackend;
-use an5d_service::{client, parse_json, Json, Server, ServerConfig};
+use an5d_service::{parse_json, Client, HttpResponse, Json, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -22,7 +22,7 @@ fn predict_body(device: &str, bt: usize) -> String {
 }
 
 fn device_stats(addr: SocketAddr, device: &str) -> (u64, u64, u64) {
-    let (status, body) = client::get(addr, "/stats").unwrap();
+    let HttpResponse { status, body, .. } = Client::one_shot(addr).get("/stats").unwrap();
     assert_eq!(status, 200);
     let stats = parse_json(&body).unwrap();
     let shard = stats
@@ -55,9 +55,10 @@ fn interleaved_devices_keep_isolated_cache_shards() {
     )
     .expect("bind ephemeral port");
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     // The fleet is visible before any traffic.
-    let (status, body) = client::get(addr, "/devices").unwrap();
+    let HttpResponse { status, body, .. } = client.get("/devices").unwrap();
     assert_eq!(status, 200);
     let devices = parse_json(&body).unwrap();
     let listed = devices.get("devices").unwrap().as_array().unwrap().len();
@@ -66,7 +67,8 @@ fn interleaved_devices_keep_isolated_cache_shards() {
     // Seed the P100 working set: 3 distinct plans, all within capacity.
     let p100_working_set: Vec<String> = (1..=3).map(|bt| predict_body("p100", bt)).collect();
     for body in &p100_working_set {
-        let (status, response) = client::post(addr, "/predict", body).unwrap();
+        let reply = client.post("/predict", body).unwrap();
+        let (status, response) = (reply.status, reply.body);
         assert_eq!(status, 200, "{response}");
     }
     let (_, p100_misses_seeded, p100_entries) = device_stats(addr, "p100");
@@ -79,11 +81,11 @@ fn interleaved_devices_keep_isolated_cache_shards() {
     std::thread::scope(|scope| {
         for _ in 0..2 {
             scope.spawn(|| {
-                let mut conn = client::KeepAliveClient::new(addr);
+                let mut conn = Client::new(addr);
                 for round in 0..2 {
                     for bt in 1..=12 {
-                        let (status, response) =
-                            conn.post("/predict", &predict_body("v100", bt)).unwrap();
+                        let reply = conn.post("/predict", &predict_body("v100", bt)).unwrap();
+                        let (status, response) = (reply.status, reply.body);
                         assert_eq!(status, 200, "v100 round {round} bt {bt}: {response}");
                     }
                 }
@@ -91,10 +93,11 @@ fn interleaved_devices_keep_isolated_cache_shards() {
         }
         for _ in 0..2 {
             scope.spawn(|| {
-                let mut conn = client::KeepAliveClient::new(addr);
+                let mut conn = Client::new(addr);
                 for round in 0..6 {
                     for body in &p100_working_set {
-                        let (status, response) = conn.post("/predict", body).unwrap();
+                        let reply = conn.post("/predict", body).unwrap();
+                        let (status, response) = (reply.status, reply.body);
                         assert_eq!(status, 200, "p100 round {round}: {response}");
                     }
                 }
@@ -121,11 +124,17 @@ fn interleaved_devices_keep_isolated_cache_shards() {
     assert_eq!(p100_hits, 2 * 6 * 3, "all concurrent p100 lookups hit");
 
     // Responses are still device-specific end to end.
-    let (_, v100_body) = client::post(addr, "/predict", &predict_body("v100", 2)).unwrap();
-    let (_, p100_body) = client::post(addr, "/predict", &predict_body("p100", 2)).unwrap();
+    let v100_body = client
+        .post("/predict", &predict_body("v100", 2))
+        .unwrap()
+        .body;
+    let p100_body = client
+        .post("/predict", &predict_body("p100", 2))
+        .unwrap()
+        .body;
     assert_ne!(v100_body, p100_body, "per-device predictions differ");
 
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
+    let HttpResponse { status, .. } = client.post("/shutdown", "").unwrap();
     assert_eq!(status, 200);
     server.wait();
 }
@@ -144,19 +153,21 @@ fn device_agnostic_requests_are_routed_and_all_devices_are_tunable() {
     )
     .expect("bind ephemeral port");
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     // /plan without a device: the router picks a shard, the response is
     // identical no matter which (asserted by repeating the request).
     let body = r#"{"benchmark":"star2d1r","interior":[64,64],"steps":8,
                    "config":{"bt":2,"bs":[32],"precision":"double"}}"#;
-    let (status, first) = client::post(addr, "/plan", body).unwrap();
+    let response = client.post("/plan", body).unwrap();
+    let (status, first) = (response.status, response.body);
     assert_eq!(status, 200, "{first}");
-    let (_, second) = client::post(addr, "/plan", body).unwrap();
+    let HttpResponse { body: second, .. } = client.post("/plan", body).unwrap();
     assert_eq!(first, second, "device-agnostic bytes are deterministic");
 
     // Every registered profile serves /tune: new devices are usable
     // without touching the API layer.
-    let (_, devices_body) = client::get(addr, "/devices").unwrap();
+    let devices_body = client.get("/devices").unwrap().body;
     let listing = parse_json(&devices_body).unwrap();
     let mut tuned = 0;
     for device in listing.get("devices").unwrap().as_array().unwrap() {
@@ -165,14 +176,15 @@ fn device_agnostic_requests_are_routed_and_all_devices_are_tunable() {
             r#"{{"benchmark":"j2d5pt","interior":[512,512],"steps":50,
                  "device":"{id}","precision":"single","space":"quick"}}"#
         );
-        let (status, response) = client::post(addr, "/tune", &body).unwrap();
+        let reply = client.post("/tune", &body).unwrap();
+        let (status, response) = (reply.status, reply.body);
         assert_eq!(status, 200, "device {id}: {response}");
         assert!(response.contains("\"best\""), "device {id}: {response}");
         tuned += 1;
     }
     assert!(tuned >= 4, "tuned {tuned} devices");
 
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
+    let HttpResponse { status, .. } = client.post("/shutdown", "").unwrap();
     assert_eq!(status, 200);
     server.wait();
 }

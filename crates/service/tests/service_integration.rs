@@ -8,7 +8,7 @@ use an5d::{
     generate_cuda_for_plan, An5d, BatchDriver, BlockConfig, GpuDevice, GridInit, Precision,
     SearchSpace, SerialBackend,
 };
-use an5d_service::{api, client, parse_json, Json, Server, ServerConfig};
+use an5d_service::{api, parse_json, Client, HttpResponse, Json, Server, ServerConfig};
 use std::sync::Arc;
 
 /// The mixed request set every client thread replays.
@@ -71,7 +71,7 @@ fn expected_bodies() -> Vec<String> {
 }
 
 fn hit_rate(addr: std::net::SocketAddr) -> f64 {
-    let (status, body) = client::get(addr, "/stats").unwrap();
+    let HttpResponse { status, body, .. } = Client::one_shot(addr).get("/stats").unwrap();
     assert_eq!(status, 200);
     parse_json(&body)
         .unwrap()
@@ -95,6 +95,7 @@ fn concurrent_clients_get_facade_identical_responses_and_a_warming_cache() {
     )
     .expect("bind ephemeral port");
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     let workload = workload();
     let expected = expected_bodies();
@@ -109,15 +110,19 @@ fn concurrent_clients_get_facade_identical_responses_and_a_warming_cache() {
             let workload = &workload;
             let expected = &expected;
             scope.spawn(move || {
-                let mut client = client::KeepAliveClient::new(addr);
+                let mut client = Client::new(addr);
                 for round in 0..ROUNDS_PER_CLIENT {
                     for ((path, body), want) in workload.iter().zip(expected) {
-                        let (status, got) = client
+                        let response = client
                             .post(path, body)
                             .unwrap_or_else(|e| panic!("client {client_id} {path}: {e}"));
-                        assert_eq!(status, 200, "client {client_id} {path}: {got}");
+                        assert_eq!(response.status, 200, "client {client_id} {path}");
+                        assert!(
+                            response.trace.is_some(),
+                            "client {client_id} {path}: keep-alive response without a trace id"
+                        );
                         assert_eq!(
-                            &got, want,
+                            &response.body, want,
                             "client {client_id} round {round} {path}: response must be \
                              byte-identical to the direct facade call"
                         );
@@ -145,11 +150,24 @@ fn concurrent_clients_get_facade_identical_responses_and_a_warming_cache() {
     );
 
     // Another identical round can only hit (every plan is cached now):
-    // the overall hit rate must rise.
+    // the overall hit rate must rise. This round runs with keep-alive
+    // off: every request opens its own connection, so the server serves
+    // none of them on a reused one.
+    let reused_before = server.reused_requests();
     for (path, body) in &workload {
-        let (status, _) = client::post(addr, path, body).unwrap();
-        assert_eq!(status, 200);
+        let response = client.post(path, body).unwrap();
+        assert_eq!(response.status, 200);
+        assert!(
+            response.trace.is_some(),
+            "{path}: one-shot response without a trace id"
+        );
     }
+    assert_eq!(client.reused(), 0);
+    assert_eq!(
+        server.reused_requests(),
+        reused_before,
+        "keep-alive-off requests must not be served on a reused connection"
+    );
     let warmer_rate = hit_rate(addr);
     assert!(
         warmer_rate > warm_rate,
@@ -157,7 +175,7 @@ fn concurrent_clients_get_facade_identical_responses_and_a_warming_cache() {
     );
 
     // /stats reflects the traffic the endpoints saw.
-    let (_, stats_body) = client::get(addr, "/stats").unwrap();
+    let stats_body = client.get("/stats").unwrap().body;
     let stats = parse_json(&stats_body).unwrap();
     let tune_count = stats
         .get("endpoints")
@@ -168,7 +186,7 @@ fn concurrent_clients_get_facade_identical_responses_and_a_warming_cache() {
     assert_eq!(tune_count, CLIENTS * ROUNDS_PER_CLIENT + 1);
 
     // Graceful shutdown over HTTP; wait() must return promptly.
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
+    let HttpResponse { status, .. } = client.post("/shutdown", "").unwrap();
     assert_eq!(status, 200);
     server.wait();
 }
@@ -192,6 +210,7 @@ fn admission_control_sheds_load_with_503s_instead_of_queueing_unboundedly() {
     )
     .unwrap();
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     // Saturate the single worker with concurrent complete requests: at
     // any moment one executes, one sits queued, and the rest must be
@@ -208,7 +227,7 @@ fn admission_control_sheds_load_with_503s_instead_of_queueing_unboundedly() {
                 if stop.load(std::sync::atomic::Ordering::Relaxed) {
                     break;
                 }
-                if let Ok(response) = client::post_response(addr, "/execute", body) {
+                if let Ok(response) = Client::one_shot(addr).post("/execute", body) {
                     if response.status == 503 {
                         // Every overload shed must tell well-behaved
                         // clients when to come back.
@@ -245,7 +264,7 @@ fn admission_control_sheds_load_with_503s_instead_of_queueing_unboundedly() {
         .write_all(b"POST /stats HTTP/1.1\r\nContent-Length: 4\r\n\r\n")
         .unwrap();
     parked.flush().unwrap();
-    let (status, _) = client::get(addr, "/stats").unwrap();
+    let HttpResponse { status, .. } = client.get("/stats").unwrap();
     assert_eq!(status, 200, "half-sent request must not block the worker");
     drop(parked);
     server.stop();

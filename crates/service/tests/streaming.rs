@@ -7,7 +7,9 @@
 //! keep-alive regression behind `an5d_connections_aborted`).
 
 use an5d::SerialBackend;
-use an5d_service::{client, encode_chunk, ChunkDecoder, Server, ServerConfig, CHUNK_TERMINATOR};
+use an5d_service::{
+    encode_chunk, ChunkDecoder, Client, HttpResponse, Server, ServerConfig, CHUNK_TERMINATOR,
+};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -223,13 +225,15 @@ fn streamed_codegen_and_execute_match_their_buffered_twins() {
     an5d_fault::uninstall();
     let server = start_server();
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     for (path, body) in [("/codegen", CODEGEN_BODY), ("/execute", EXECUTE_BODY)] {
-        let (status, buffered) = client::post(addr, path, body).expect("buffered request");
+        let response = client.post(path, body).expect("buffered request");
+        let (status, buffered) = (response.status, response.body);
         assert_eq!(status, 200, "{path}: {buffered}");
         let streamed_path = format!("{path}?stream=1");
-        let (status, streamed) =
-            client::post(addr, &streamed_path, body).expect("streamed request");
+        let response = client.post(&streamed_path, body).expect("streamed request");
+        let (status, streamed) = (response.status, response.body);
         assert_eq!(status, 200, "{streamed_path}: {streamed}");
         assert_eq!(
             streamed, buffered,
@@ -250,7 +254,8 @@ fn streamed_codegen_and_execute_match_their_buffered_twins() {
         assert!(snap.bytes > 0, "{path}");
         assert_eq!(snap.ttfb.count(), 1, "{path}");
     }
-    let (status, metrics) = client::get(addr, "/metrics").expect("/metrics");
+    let response = client.get("/metrics").expect("/metrics");
+    let (status, metrics) = (response.status, response.body);
     assert_eq!(status, 200);
     for series in [
         "an5d_streams_total{endpoint=\"/codegen\"}",
@@ -261,7 +266,7 @@ fn streamed_codegen_and_execute_match_their_buffered_twins() {
         assert!(metrics.contains(series), "missing {series}");
     }
 
-    let _ = client::post(addr, "/shutdown", "");
+    let _ = client.post("/shutdown", "");
     server.wait();
 }
 
@@ -271,10 +276,15 @@ fn streamed_batch_matches_buffered_and_orders_lines_by_index() {
     an5d_fault::uninstall();
     let server = start_server();
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
-    let (status, buffered) = client::post(addr, "/batch?stream=0", BATCH_BODY).expect("buffered");
+    let response = client
+        .post("/batch?stream=0", BATCH_BODY)
+        .expect("buffered");
+    let (status, buffered) = (response.status, response.body);
     assert_eq!(status, 200, "{buffered}");
-    let (status, streamed) = client::post(addr, "/batch", BATCH_BODY).expect("streamed");
+    let response = client.post("/batch", BATCH_BODY).expect("streamed");
+    let (status, streamed) = (response.status, response.body);
     assert_eq!(status, 200, "{streamed}");
     assert_eq!(streamed, buffered, "streamed NDJSON must match buffered");
 
@@ -287,7 +297,7 @@ fn streamed_batch_matches_buffered_and_orders_lines_by_index() {
         assert!(parsed.get("checksum").is_some(), "line {index}: {line}");
     }
 
-    let _ = client::post(addr, "/shutdown", "");
+    let _ = client.post("/shutdown", "");
     server.wait();
 }
 
@@ -323,6 +333,7 @@ fn streamed_responses_use_chunked_framing_on_the_wire() {
     an5d_fault::uninstall();
     let server = start_server();
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     let mut stream = raw_post(addr, "/codegen?stream=1", CODEGEN_BODY);
     let head = read_head(&mut stream);
@@ -344,10 +355,11 @@ fn streamed_responses_use_chunked_framing_on_the_wire() {
         offset += consumed;
     }
     let body = String::from_utf8(body).expect("UTF-8 body");
-    let (_, buffered) = client::post(addr, "/codegen", CODEGEN_BODY).expect("buffered");
+    let HttpResponse { body: buffered, .. } =
+        client.post("/codegen", CODEGEN_BODY).expect("buffered");
     assert_eq!(body, buffered);
 
-    let _ = client::post(addr, "/shutdown", "");
+    let _ = client.post("/shutdown", "");
     server.wait();
 }
 
@@ -357,6 +369,7 @@ fn batch_lines_arrive_before_the_batch_completes() {
     an5d_fault::uninstall();
     let server = start_server();
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     // Delay the second chunk pull only: job 0's line hits the wire
     // immediately, then the producer stalls 600ms before job 1. If the
@@ -403,7 +416,7 @@ fn batch_lines_arrive_before_the_batch_completes() {
     assert_eq!(String::from_utf8(body).expect("UTF-8").lines().count(), 3);
 
     an5d_fault::uninstall();
-    let _ = client::post(addr, "/shutdown", "");
+    let _ = client.post("/shutdown", "");
     server.wait();
 }
 
@@ -418,8 +431,9 @@ fn batch_honors_the_request_deadline_per_job() {
     // must then be refused with a deadline marker, not silently run
     // past the client's budget.
     install_plan("seed=1;stream.chunk=delay:400#1");
-    let response =
-        client::post_with_deadline(addr, "/batch", BATCH_BODY, 100).expect("streamed batch");
+    let mut client = Client::one_shot(addr);
+    client.set_deadline_ms(Some(100));
+    let response = client.post("/batch", BATCH_BODY).expect("streamed batch");
     assert_eq!(response.status, 200, "{}", response.body);
     let body = response.body;
     assert_eq!(body.lines().count(), 3);
@@ -428,7 +442,7 @@ fn batch_honors_the_request_deadline_per_job() {
     }
 
     an5d_fault::uninstall();
-    let _ = client::post(addr, "/shutdown", "");
+    let _ = client.post("/shutdown", "");
     server.wait();
 }
 
@@ -438,6 +452,7 @@ fn mid_stream_failure_aborts_the_connection() {
     an5d_fault::uninstall();
     let server = start_server();
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
     let aborted_before = server.state().metrics().connections().snapshot().aborted;
 
     // Fail the producer after the first chunk: the head and one chunk
@@ -445,7 +460,9 @@ fn mid_stream_failure_aborts_the_connection() {
     // response has no other way to signal failure, so the server must
     // sever the connection and the client must report truncation.
     install_plan("seed=1;stream.chunk=error@every:2#1");
-    let err = client::post(addr, "/batch", BATCH_BODY).expect_err("truncated stream");
+    let err = client
+        .post("/batch", BATCH_BODY)
+        .expect_err("truncated stream");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     an5d_fault::uninstall();
 
@@ -461,9 +478,9 @@ fn mid_stream_failure_aborts_the_connection() {
     }
 
     // The server itself stays healthy: a fresh request succeeds.
-    let (status, body) = client::post(addr, "/batch", BATCH_BODY).expect("recovery");
+    let HttpResponse { status, body, .. } = client.post("/batch", BATCH_BODY).expect("recovery");
     assert_eq!(status, 200, "{body}");
 
-    let _ = client::post(addr, "/shutdown", "");
+    let _ = client.post("/shutdown", "");
     server.wait();
 }

@@ -5,7 +5,7 @@
 
 use an5d::SerialBackend;
 use an5d_service::{
-    client, dispatch, parse_json, Json, Request, Server, ServerConfig, ServiceState,
+    dispatch, parse_json, Client, HttpResponse, Json, Request, Server, ServerConfig, ServiceState,
 };
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -47,7 +47,7 @@ fn start_server(tune_db: Option<&std::path::Path>) -> Server {
 }
 
 fn shutdown(addr: SocketAddr, server: Server) {
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
+    let HttpResponse { status, .. } = Client::one_shot(addr).post("/shutdown", "").unwrap();
     assert_eq!(status, 200);
     server.wait();
 }
@@ -59,16 +59,18 @@ const TUNE_BODY: &str = r#"{"benchmark":"j2d5pt","interior":[512,512],"steps":50
 fn metrics_endpoint_serves_prometheus_histograms() {
     let server = start_server(None);
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     // Generate some traffic so the histograms have samples.
     let body = r#"{"benchmark":"star2d1r","interior":[64,64],"steps":8,
                    "config":{"bt":2,"bs":[32],"precision":"double"}}"#;
     for _ in 0..3 {
-        let (status, _) = client::post(addr, "/plan", body).unwrap();
+        let HttpResponse { status, .. } = client.post("/plan", body).unwrap();
         assert_eq!(status, 200);
     }
 
-    let (status, text) = client::get(addr, "/metrics").unwrap();
+    let response = client.get("/metrics").unwrap();
+    let (status, text) = (response.status, response.body);
     assert_eq!(status, 200);
     // Histogram series for the endpoint we hit, with the canonical
     // bucket/sum/count triplet and the +Inf terminal bucket.
@@ -125,12 +127,14 @@ fn tune_trace_shows_nested_pipeline_spans() {
     let db = TempDb::new("tune-spans");
     let server = start_server(Some(&db.0));
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
-    let (status, _, trace_id) = client::post_traced(addr, "/tune", TUNE_BODY).unwrap();
+    let response = client.post("/tune", TUNE_BODY).unwrap();
+    let (status, trace_id) = (response.status, response.trace);
     assert_eq!(status, 200);
     let trace_id = trace_id.expect("every /tune response carries x-an5d-trace");
 
-    let (status, body) = client::get(addr, &format!("/trace?id={trace_id}")).unwrap();
+    let HttpResponse { status, body, .. } = client.get(&format!("/trace?id={trace_id}")).unwrap();
     assert_eq!(status, 200, "{body}");
     let trace = parse_json(&body).unwrap();
     assert_eq!(
@@ -186,9 +190,9 @@ fn tune_trace_shows_nested_pipeline_spans() {
     );
 
     // An unknown (but well-formed) id is a 404; a malformed id a 400.
-    let (status, _) = client::get(addr, "/trace?id=0000000000000000").unwrap();
+    let HttpResponse { status, .. } = client.get("/trace?id=0000000000000000").unwrap();
     assert_eq!(status, 404);
-    let (status, _) = client::get(addr, "/trace?id=not-hex").unwrap();
+    let HttpResponse { status, .. } = client.get("/trace?id=not-hex").unwrap();
     assert_eq!(status, 400);
 
     shutdown(addr, server);
@@ -328,6 +332,7 @@ fn parse_sample(line: &str) -> (String, Vec<(String, String)>, f64) {
 fn metrics_exposition_groups_every_sample_under_its_declared_family() {
     let server = start_server(None);
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
     let plan = r#"{"benchmark":"star2d1r","interior":[64,64],"steps":8,
                    "config":{"bt":2,"bs":[32],"precision":"double"}}"#;
     let execute = r#"{"benchmark":"j2d5pt","interior":[24,24],"steps":5,
@@ -339,9 +344,10 @@ fn metrics_exposition_groups_every_sample_under_its_declared_family() {
         ("/execute", execute),
         ("/plan", "{}"),
     ] {
-        client::post(addr, path, body).unwrap();
+        client.post(path, body).unwrap();
     }
-    let (status, text) = client::get(addr, "/metrics").unwrap();
+    let response = client.get("/metrics").unwrap();
+    let (status, text) = (response.status, response.body);
     assert_eq!(status, 200);
 
     // The text format: every sample belongs to the family of the most

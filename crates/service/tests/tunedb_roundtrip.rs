@@ -6,7 +6,7 @@
 //! must bypass the stored record and force a re-tune.
 
 use an5d::SerialBackend;
-use an5d_service::{client, parse_json, Json, Server, ServerConfig};
+use an5d_service::{parse_json, Client, HttpResponse, Json, Server, ServerConfig};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -48,7 +48,7 @@ fn start_server(db_path: &std::path::Path) -> Server {
 
 /// The v100 shard's `"tunedb"` object plus the top-level one.
 fn tunedb_stats(addr: SocketAddr) -> (Json, Json) {
-    let (status, body) = client::get(addr, "/stats").unwrap();
+    let HttpResponse { status, body, .. } = Client::one_shot(addr).get("/stats").unwrap();
     assert_eq!(status, 200);
     let parsed = parse_json(&body).unwrap();
     let shard = parsed
@@ -78,11 +78,13 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
     // ---- First server: cold DB, the query must run the tuner. ----
     let first = start_server(&db.0);
     let addr = first.addr();
+    let mut client = Client::one_shot(addr);
     let (shard, top) = tunedb_stats(addr);
     assert_eq!(counter(&top, "records"), 0, "DB starts empty");
     assert_eq!(counter(&shard, "warmed"), 0);
 
-    let (status, cold_body) = client::post(addr, "/tune", TUNE_BODY).unwrap();
+    let response = client.post("/tune", TUNE_BODY).unwrap();
+    let (status, cold_body) = (response.status, response.body);
     assert_eq!(status, 200, "{cold_body}");
     let (shard, top) = tunedb_stats(addr);
     assert_eq!(counter(&shard, "tuner_runs"), 1, "cold query tunes");
@@ -91,19 +93,20 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
     assert_eq!(counter(&top, "records"), 1, "result persisted");
 
     // A repeat on the same process is already a DB hit.
-    let (_, repeat_body) = client::post(addr, "/tune", TUNE_BODY).unwrap();
+    let repeat_body = client.post("/tune", TUNE_BODY).unwrap().body;
     assert_eq!(repeat_body, cold_body);
     let (shard, _) = tunedb_stats(addr);
     assert_eq!(counter(&shard, "hits"), 1);
     assert_eq!(counter(&shard, "tuner_runs"), 1, "no second search");
 
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
+    let HttpResponse { status, .. } = client.post("/shutdown", "").unwrap();
     assert_eq!(status, 200);
     first.wait();
 
     // ---- Second server: same DB file, fresh process. ----
     let second = start_server(&db.0);
     let addr = second.addr();
+    let mut client = Client::one_shot(addr);
     let (shard, top) = tunedb_stats(addr);
     assert_eq!(counter(&shard, "warmed"), 1, "v100 warm-started");
     assert!(
@@ -113,7 +116,8 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
     assert_eq!(counter(&top, "records"), 1);
     assert_eq!(counter(&top, "recovered"), 1);
 
-    let (status, warm_body) = client::post(addr, "/tune", TUNE_BODY).unwrap();
+    let response = client.post("/tune", TUNE_BODY).unwrap();
+    let (status, warm_body) = (response.status, response.body);
     assert_eq!(status, 200, "{warm_body}");
     assert_eq!(
         warm_body, cold_body,
@@ -129,7 +133,8 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
     assert_eq!(counter(&shard, "misses"), 0);
 
     // ---- refresh=true bypasses the DB and forces a re-tune. ----
-    let (status, refreshed_body) = client::post(addr, "/tune?refresh=true", TUNE_BODY).unwrap();
+    let response = client.post("/tune?refresh=true", TUNE_BODY).unwrap();
+    let (status, refreshed_body) = (response.status, response.body);
     assert_eq!(status, 200, "{refreshed_body}");
     assert_eq!(
         refreshed_body, cold_body,
@@ -145,7 +150,7 @@ fn a_restarted_server_answers_tuned_keys_from_the_db_without_the_tuner() {
     assert_eq!(counter(&top, "records"), 1, "overwrite, not a new key");
     assert!(counter(&top, "appends") >= 1, "the overwrite was appended");
 
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
+    let HttpResponse { status, .. } = client.post("/shutdown", "").unwrap();
     assert_eq!(status, 200);
     second.wait();
 }
@@ -155,6 +160,7 @@ fn different_devices_tune_into_their_own_db_entries() {
     let db = TempDb::new("devices");
     let server = start_server(&db.0);
     let addr = server.addr();
+    let mut client = Client::one_shot(addr);
 
     let body_for = |device: &str| {
         format!(
@@ -162,9 +168,11 @@ fn different_devices_tune_into_their_own_db_entries() {
                  "device":"{device}","precision":"single","space":"quick"}}"#
         )
     };
-    let (status, v100_body) = client::post(addr, "/tune", &body_for("v100")).unwrap();
+    let response = client.post("/tune", &body_for("v100")).unwrap();
+    let (status, v100_body) = (response.status, response.body);
     assert_eq!(status, 200);
-    let (status, p100_body) = client::post(addr, "/tune", &body_for("p100")).unwrap();
+    let response = client.post("/tune", &body_for("p100")).unwrap();
+    let (status, p100_body) = (response.status, response.body);
     assert_eq!(status, 200);
     assert_ne!(v100_body, p100_body, "device-specific tunings differ");
 
@@ -172,13 +180,14 @@ fn different_devices_tune_into_their_own_db_entries() {
     assert_eq!(counter(&top, "records"), 2, "one record per device key");
 
     // Restart: each shard warms only from its own entries.
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
+    let HttpResponse { status, .. } = client.post("/shutdown", "").unwrap();
     assert_eq!(status, 200);
     server.wait();
 
     let server = start_server(&db.0);
     let addr = server.addr();
-    let (status, body) = client::get(addr, "/stats").unwrap();
+    let mut client = Client::one_shot(addr);
+    let HttpResponse { status, body, .. } = client.get("/stats").unwrap();
     assert_eq!(status, 200);
     let parsed = parse_json(&body).unwrap();
     for (device, expect) in [("v100", 1), ("p100", 1), ("a100", 0)] {
@@ -193,10 +202,10 @@ fn different_devices_tune_into_their_own_db_entries() {
     }
     // Both warmed keys answer without the tuner.
     for device in ["v100", "p100"] {
-        let (status, _) = client::post(addr, "/tune", &body_for(device)).unwrap();
+        let HttpResponse { status, .. } = client.post("/tune", &body_for(device)).unwrap();
         assert_eq!(status, 200);
     }
-    let (status, body) = client::get(addr, "/stats").unwrap();
+    let HttpResponse { status, body, .. } = client.get("/stats").unwrap();
     assert_eq!(status, 200);
     let parsed = parse_json(&body).unwrap();
     for device in ["v100", "p100"] {
@@ -209,7 +218,7 @@ fn different_devices_tune_into_their_own_db_entries() {
         assert_eq!(counter(tunedb, "hits"), 1, "{device}");
     }
 
-    let (status, _) = client::post(addr, "/shutdown", "").unwrap();
+    let HttpResponse { status, .. } = client.post("/shutdown", "").unwrap();
     assert_eq!(status, 200);
     server.wait();
 }

@@ -2,12 +2,15 @@
 //!
 //! Demonstrates the `an5d-backend` subsystem end to end: jobs fan out
 //! across a bounded worker pool, plans come from the shared LRU plan
-//! cache, and the same suite runs on the serial and the tile-parallel
-//! backend with bit-identical checksums.
+//! cache, and the same suite runs on every registered backend with
+//! bit-identical checksums.
 //!
 //! Run with `cargo run --example backend_batch`.
 
-use an5d::{create_backend, suite, BatchDriver, BatchJob, BlockConfig, PlanCache, Precision};
+use an5d::{
+    available_backends, create_backend, suite, BatchDriver, BatchJob, BlockConfig, PlanCache,
+    Precision,
+};
 use std::sync::Arc;
 
 fn jobs() -> Vec<BatchJob> {
@@ -28,7 +31,7 @@ fn main() {
     let cache = Arc::new(PlanCache::new(64));
     println!("suite batch on every registered backend:\n");
     let mut checksums: Vec<Vec<f64>> = Vec::new();
-    for spec in ["serial", "parallel"] {
+    for spec in available_backends() {
         let backend = create_backend(spec).expect("registered backend");
         let driver = BatchDriver::new(backend)
             .with_cache(Arc::clone(&cache))
@@ -54,10 +57,12 @@ fn main() {
         checksums.push(sums);
         println!();
     }
-    assert_eq!(
-        checksums[0], checksums[1],
-        "backends must agree bit-for-bit"
-    );
+    for (spec, sums) in available_backends().iter().zip(&checksums) {
+        assert_eq!(
+            &checksums[0], sums,
+            "{spec}: backends must agree bit-for-bit"
+        );
+    }
     let stats = cache.stats();
     println!(
         "shared plan cache: {} hits / {} misses ({:.0}% hit rate, {} entries)",

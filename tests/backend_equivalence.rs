@@ -7,8 +7,8 @@
 use an5d::reference::run_reference;
 use an5d::{
     create_backend, BatchDriver, BatchJob, BlockConfig, ExecutionBackend, FrameworkScheme, Grid,
-    GridDiff, GridInit, KernelPlan, ParallelCpuBackend, PlanCache, Precision, SerialBackend,
-    StencilDef, StencilProblem, VectorCpuBackend,
+    GridDiff, GridInit, KernelPlan, PlanCache, Precision, SerialBackend, StencilDef,
+    StencilProblem, VectorCpuBackend,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -39,6 +39,8 @@ fn workloads() -> Vec<(StencilDef, Vec<usize>, usize, BlockConfig)> {
     ]
 }
 
+/// The tile-parallel backend as a user selects it: a `vector:<threads>`
+/// registry spec behind `dyn ExecutionBackend`.
 #[test]
 fn parallel_backend_is_bit_identical_to_reference_and_serial() {
     for (def, interior, steps, config) in workloads() {
@@ -57,25 +59,25 @@ fn parallel_backend_is_bit_identical_to_reference_and_serial() {
         );
 
         for threads in [2usize, 5] {
-            let parallel =
-                ParallelCpuBackend::new(threads).execute_f64(&plan, &problem, initial.clone());
+            let backend = create_backend(&format!("vector:{threads}")).unwrap();
+            let parallel = backend.execute_f64(&plan, &problem, initial.clone());
             assert_eq!(
                 serial.grid,
                 parallel.grid,
-                "{}: parallel[{threads}] grid differs from serial",
+                "{}: vector:{threads} grid differs from serial",
                 def.name()
             );
             let diff = GridDiff::compute(&reference, &parallel.grid).unwrap();
             assert!(
                 diff.is_exact(),
-                "{}: parallel[{threads}] diverged from reference (max {:.3e})",
+                "{}: vector:{threads} diverged from reference (max {:.3e})",
                 def.name(),
                 diff.max_abs
             );
             assert_eq!(
                 serial.counters,
                 parallel.counters,
-                "{}: parallel[{threads}] counters differ",
+                "{}: vector:{threads} counters differ",
                 def.name()
             );
         }
@@ -259,7 +261,7 @@ fn registry_backends_agree_through_the_facade() {
     let an5d = an5d::An5d::benchmark("j2d9pt").unwrap();
     let problem = an5d.problem(&[24, 22], 5).unwrap();
     let config = BlockConfig::new(2, &[14], None, Precision::Double).unwrap();
-    for spec in ["serial", "parallel", "parallel:3", "vector", "vector:3"] {
+    for spec in ["serial", "vector", "vector:3"] {
         let backend = create_backend(spec).unwrap();
         let report = an5d
             .clone()
@@ -303,11 +305,11 @@ fn batch_driver_runs_a_suite_identically_on_both_backends() {
         .map(|(def, interior, steps, config)| BatchJob::new(def, &interior, steps, config))
         .collect();
     let serial = BatchDriver::new(Arc::new(SerialBackend)).run(&jobs);
-    let parallel = BatchDriver::new(Arc::new(ParallelCpuBackend::new(4)))
+    let vector = BatchDriver::new(Arc::new(VectorCpuBackend::new(4)))
         .with_workers(2)
         .run(&jobs);
     assert_eq!(serial.len(), jobs.len());
-    for (a, b) in serial.iter().zip(&parallel) {
+    for (a, b) in serial.iter().zip(&vector) {
         let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
         assert_eq!(a.name, b.name);
         assert_eq!(a.checksum, b.checksum, "{}", a.name);
