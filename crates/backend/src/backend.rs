@@ -1,6 +1,6 @@
 //! The [`ExecutionBackend`] trait and its CPU implementations.
 
-use an5d_gpusim::{execute_plan_on, temporal_chunks, BlockedRun, TileContext, TileRun};
+use an5d_gpusim::{execute_plan_on, run_temporal_blocks, BlockedRun, TrafficCounters};
 use an5d_grid::{Element, Grid};
 use an5d_plan::KernelPlan;
 use an5d_stencil::StencilProblem;
@@ -122,25 +122,29 @@ impl ExecutionBackend for SerialBackend {
 /// block across the shared persistent worker pool
 /// ([`an5d_runtime::global`]), with tiles claimed one at a time (dynamic
 /// scheduling, so an expensive tile never serialises a static chunk
-/// behind it), collects the detached [`TileRun`]s, and applies them
-/// **in canonical tile order** on the driving thread. Temporal blocks stay
-/// sequential (block *k + 1* consumes the grid block *k* produced).
+/// behind it), collects the detached [`an5d_gpusim::TileRun`]s, and
+/// applies them **in canonical tile order** on the driving thread, one
+/// row copy per innermost row of each write-back region. Temporal blocks
+/// stay sequential (block *k + 1* consumes the grid block *k* produced).
+/// The run clones the initial grid once; the two grids then swap roles
+/// between blocks ([`an5d_gpusim::run_temporal_blocks`]).
 ///
 /// Each tile runs through the row-major fast path
-/// ([`TileContext::execute_tile_rows`]): the stencil expression is
-/// compiled into a postfix tape over flat neighbour offsets and evaluated
-/// a whole row at a time over contiguous stride-1 slices, with all
-/// halo/bounds logic hoisted out of the inner loops — the shape the
-/// compiler autovectorizes. Monomorphic `f32`/`f64` specialization comes
-/// from the [`BackendElement`] seal, so both precisions get their own
-/// vector code.
+/// ([`an5d_gpusim::TileContext::execute_tile_rows`]): the stencil
+/// expression, compiled once per plan and local stride set, is a postfix
+/// tape with its constant and cell operands fused into the operations,
+/// evaluated over fixed-width lane blocks of contiguous stride-1 rows,
+/// with all halo/bounds logic hoisted out of the inner loops — the shape
+/// the compiler autovectorizes. Monomorphic `f32`/`f64` specialization
+/// comes from the [`BackendElement`] seal, so both precisions get their
+/// own vector code.
 ///
 /// Determinism: every cell value is produced by exactly one tile through
 /// the identical scalar operation sequence as [`SerialBackend`] (the tape
-/// evaluates the expression tree in the recursive evaluator's order and
-/// lanes never interact), and counters are aggregated in canonical tile
-/// order — grids *and* counter totals are bit-identical to the serial
-/// driver for any thread count.
+/// applies the expression tree's operations in the recursive evaluator's
+/// order and operand order, and lanes never interact), and counters are
+/// aggregated in canonical tile order — grids *and* counter totals are
+/// bit-identical to the serial driver for any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorCpuBackend {
     threads: usize,
@@ -183,41 +187,25 @@ impl VectorCpuBackend {
         initial: Grid<T>,
     ) -> BlockedRun<T> {
         let _span = an5d_obs::Span::enter("backend.execute");
-        assert_eq!(
-            initial.shape(),
-            problem.grid_shape().as_slice(),
-            "initial grid shape does not match the problem"
-        );
-
-        let ctx = TileContext::new(plan, problem);
-        let tiles = ctx.tiles();
         let pool = an5d_runtime::global();
-        let mut counters = an5d_gpusim::TrafficCounters::new();
-        let mut current = initial;
-        for chunk in temporal_chunks(problem.time_steps(), plan.config().bt()) {
+        run_temporal_blocks(plan, problem, initial, |ctx, current, chunk, next| {
             // The slot index doubles as the tile index, keeping
             // aggregation order canonical no matter which thread ran
             // which tile.
-            let current_ref = &current;
-            let ctx_ref = &ctx;
-            let runs: Vec<TileRun<T>> = pool.map_indexed_limited(self.threads, tiles.len(), |k| {
-                ctx_ref.execute_tile_rows(current_ref, &tiles[k], chunk)
+            let tiles = ctx.tiles();
+            let runs = pool.map_indexed_limited(self.threads, tiles.len(), |k| {
+                ctx.execute_tile_rows(current, &tiles[k], chunk)
             });
 
             // Deterministic aggregation: apply write-backs and sum counters
             // in canonical tile order on the driving thread.
-            let mut next = current.clone();
+            let mut counters = TrafficCounters::new();
             for run in runs {
-                run.apply_to(&mut next);
+                run.apply_to(next);
                 counters += run.counters;
             }
-            counters.kernel_launches += 1;
-            current = next;
-        }
-        BlockedRun {
-            grid: current,
-            counters,
-        }
+            counters
+        })
     }
 }
 

@@ -94,13 +94,21 @@ impl<T: Element> Grid<T> {
         grid
     }
 
-    /// Overwrite every cell according to an initialisation pattern.
+    /// Overwrite every cell according to an initialisation pattern, one
+    /// innermost row at a time (bit-identical to [`GridInit::value_at`]
+    /// per cell).
     pub fn fill_with(&mut self, init: GridInit) {
-        let shape = self.shape.clone();
-        let mut idx = vec![0usize; shape.len()];
-        for flat in 0..self.len() {
-            self.unflatten_into(flat, &mut idx);
-            self.data[flat] = T::from_f64(init.value_at(&idx, &shape));
+        let inner = self.ndim() - 1;
+        let mut outer = vec![0usize; inner];
+        for row in self.data.chunks_exact_mut(self.shape[inner]) {
+            init.fill_row(&outer, &self.shape, row);
+            for d in (0..inner).rev() {
+                outer[d] += 1;
+                if outer[d] < self.shape[d] {
+                    break;
+                }
+                outer[d] = 0;
+            }
         }
     }
 
@@ -398,6 +406,55 @@ mod tests {
         let b = Grid::<f64>::zeros(&[4, 5]);
         assert!(a.check_same_shape(&a.clone()).is_ok());
         assert!(a.check_same_shape(&b).is_err());
+    }
+
+    #[test]
+    fn fill_with_matches_value_at_bitwise_for_every_pattern() {
+        let inits = [
+            GridInit::Constant(-2.75),
+            GridInit::Linear {
+                scale: 0.3,
+                offset: -1.1,
+            },
+            GridInit::Sinusoid { amplitude: 1.7 },
+            GridInit::Hash { seed: 0xfeed },
+            GridInit::HotSpot {
+                peak: 3.0,
+                width: 0.2,
+            },
+        ];
+        let shapes: [&[usize]; 9] = [
+            &[1],
+            &[13],
+            &[1, 9],
+            &[7, 1],
+            &[5, 11],
+            &[1, 1, 1],
+            &[3, 1, 6],
+            &[1, 4, 1],
+            &[4, 5, 7],
+        ];
+        for init in inits {
+            for shape in shapes {
+                let g64 = Grid::<f64>::from_init(shape, init);
+                let g32 = Grid::<f32>::from_init(shape, init);
+                let mut idx = vec![0usize; shape.len()];
+                for flat in 0..g64.len() {
+                    g64.unflatten_into(flat, &mut idx);
+                    let want = init.value_at(&idx, shape);
+                    assert_eq!(
+                        g64.as_slice()[flat].to_bits(),
+                        want.to_bits(),
+                        "{init:?} {shape:?} at {idx:?}"
+                    );
+                    assert_eq!(
+                        g32.as_slice()[flat].to_bits(),
+                        (want as f32).to_bits(),
+                        "{init:?} {shape:?} at {idx:?} (f32)"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Deterministic grid initialisation patterns.
 
+use crate::Element;
+
 /// Deterministic initialisation pattern for grid cells.
 ///
 /// The AN5D evaluation initialises stencil inputs with synthetic data; for
@@ -57,13 +59,12 @@ impl GridInit {
                 v
             }
             GridInit::Hash { seed } => {
-                let mut h = seed ^ 0x9e37_79b9_7f4a_7c15;
+                let mut h = seed ^ HASH_KEY;
                 for &i in index {
                     h ^= i as u64;
                     h = splitmix64(h);
                 }
-                // Map to [0, 1) with 53 bits of entropy.
-                (h >> 11) as f64 / (1u64 << 53) as f64
+                unit_interval(h)
             }
             GridInit::HotSpot { peak, width } => {
                 let mut dist2 = 0.0;
@@ -76,12 +77,72 @@ impl GridInit {
             }
         }
     }
+
+    /// Fill one innermost row of a grid of the given shape: `row[j]` gets
+    /// the value at index `outer ++ [j]`, bit-identical to
+    /// [`GridInit::value_at`]. The outer indices' share of the pattern is
+    /// computed once for the whole row.
+    pub(crate) fn fill_row<T: Element>(&self, outer: &[usize], shape: &[usize], row: &mut [T]) {
+        let extent = shape[outer.len()];
+        match *self {
+            GridInit::Constant(c) => row.fill(T::from_f64(c)),
+            GridInit::Linear { scale, offset } => {
+                let base: usize = outer.iter().sum();
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = T::from_f64(offset + scale * (base + j) as f64);
+                }
+            }
+            GridInit::Sinusoid { amplitude } => {
+                let mut prefix = amplitude;
+                for (&i, &e) in outer.iter().zip(shape) {
+                    prefix *= (std::f64::consts::PI * (i as f64 / e.max(1) as f64)).sin();
+                }
+                for (j, v) in row.iter_mut().enumerate() {
+                    let x = j as f64 / extent.max(1) as f64;
+                    *v = T::from_f64(prefix * (std::f64::consts::PI * x).sin());
+                }
+            }
+            GridInit::Hash { seed } => {
+                let mut h = seed ^ HASH_KEY;
+                for &i in outer {
+                    h ^= i as u64;
+                    h = splitmix64(h);
+                }
+                for (j, v) in row.iter_mut().enumerate() {
+                    *v = T::from_f64(unit_interval(splitmix64(h ^ j as u64)));
+                }
+            }
+            GridInit::HotSpot { peak, width } => {
+                let spot = |i: usize, e: usize| {
+                    let centre = (e as f64 - 1.0) / 2.0;
+                    let d = (i as f64 - centre) / (e as f64 * width.max(1e-9));
+                    d * d
+                };
+                let mut prefix = 0.0;
+                for (&i, &e) in outer.iter().zip(shape) {
+                    prefix += spot(i, e);
+                }
+                for (j, v) in row.iter_mut().enumerate() {
+                    let dist2 = prefix + spot(j, extent);
+                    *v = T::from_f64(peak * (-dist2 * 4.0).exp());
+                }
+            }
+        }
+    }
 }
 
 impl Default for GridInit {
     fn default() -> Self {
         GridInit::Hash { seed: 0 }
     }
+}
+
+/// Mixed into a [`GridInit::Hash`] seed before the first index.
+const HASH_KEY: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Map a hash to `[0, 1)` with 53 bits of entropy.
+fn unit_interval(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 fn splitmix64(mut x: u64) -> u64 {
